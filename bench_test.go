@@ -174,110 +174,97 @@ func BenchmarkWarmup(b *testing.B) {
 
 // BenchmarkConcurrentClients measures end-to-end query throughput
 // against a live loopback deployment (repository + middleware over real
-// TCP) with concurrent clients. The "serialized" variant restores the
-// seed's handling — one global lock around each query including its
-// repository round trip (cache.Config.Serialized) — while "mux" is the
-// protocol-v2 multiplexed path. Every query ships to the repository
-// (NoCache policy), so the benchmark isolates the wire path the
-// redesign parallelized; mux with 16 clients should beat serialized by
-// well over 3×.
+// TCP) with 16 concurrent clients on the multiplexed wire path ("mux").
+// Every query ships to the repository (NoCache policy), so the
+// benchmark isolates the wire path: request multiplexing lets the
+// clients overlap the repository's simulated execution time.
 func BenchmarkConcurrentClients(b *testing.B) {
 	const nClients = 16
-	for _, mode := range []struct {
-		name       string
-		serialized bool
-		repoPool   int
-	}{
-		{name: "serialized", serialized: true, repoPool: 1},
-		{name: "mux", serialized: false, repoPool: 2},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			scfg := catalog.DefaultConfig()
-			scfg.NumObjects = 16
-			scfg.TotalSize = 16 * cost.GB
-			scfg.MinObjectSize = 100 * cost.MB
-			scfg.MaxObjectSize = 4 * cost.GB
-			survey, err := catalog.NewSurvey(scfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Metadata-only payloads (the benchmark times the protocol
-			// path, not payload generation) and a 2ms simulated
-			// repository execution per query, standing in for the
-			// paper's multi-second scans: the serialized path holds
-			// its global lock across that delay, the mux path overlaps
-			// it across clients.
-			repo, err := server.New(server.Config{
-				Survey:    survey,
-				Scale:     netproto.PayloadScale{},
-				ExecDelay: 2 * time.Millisecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := repo.Start(); err != nil {
-				b.Fatal(err)
-			}
-			defer repo.Close()
-			mw, err := cache.New(cache.Config{
-				RepoAddr:   repo.Addr(),
-				RepoPool:   mode.repoPool,
-				Policy:     core.NewNoCache(),
-				Objects:    survey.Objects(),
-				Capacity:   8 * cost.GB,
-				Scale:      netproto.PayloadScale{},
-				Serialized: mode.serialized,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := mw.Start(); err != nil {
-				b.Fatal(err)
-			}
-			defer mw.Close()
-
-			ctx := context.Background()
-			clients := make([]*client.Client, nClients)
-			for i := range clients {
-				cl, err := client.Dial(mw.Addr())
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer cl.Close()
-				clients[i] = cl
-			}
-
-			var next atomic.Int64
-			start := time.Now()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for c := 0; c < nClients; c++ {
-				wg.Add(1)
-				go func(cl *client.Client) {
-					defer wg.Done()
-					for {
-						i := next.Add(1)
-						if i > int64(b.N) {
-							return
-						}
-						if _, err := cl.Query(ctx, model.Query{
-							ID:        model.QueryID(i),
-							Objects:   []model.ObjectID{model.ObjectID(i%16 + 1)},
-							Cost:      cost.MB,
-							Tolerance: model.AnyStaleness,
-							Time:      time.Duration(i) * time.Millisecond,
-						}); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(clients[c])
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "queries/s")
+	const repoPool = 2
+	b.Run("mux", func(b *testing.B) {
+		scfg := catalog.DefaultConfig()
+		scfg.NumObjects = 16
+		scfg.TotalSize = 16 * cost.GB
+		scfg.MinObjectSize = 100 * cost.MB
+		scfg.MaxObjectSize = 4 * cost.GB
+		survey, err := catalog.NewSurvey(scfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Metadata-only payloads (the benchmark times the protocol
+		// path, not payload generation) and a 2ms simulated
+		// repository execution per query, standing in for the
+		// paper's multi-second scans, which the mux path overlaps
+		// across clients.
+		repo, err := server.New(server.Config{
+			Survey:    survey,
+			Scale:     netproto.PayloadScale{},
+			ExecDelay: 2 * time.Millisecond,
 		})
-	}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := repo.Start(); err != nil {
+			b.Fatal(err)
+		}
+		defer repo.Close()
+		mw, err := cache.New(cache.Config{
+			RepoAddr: repo.Addr(),
+			RepoPool: repoPool,
+			Policy:   core.NewNoCache(),
+			Objects:  survey.Objects(),
+			Capacity: 8 * cost.GB,
+			Scale:    netproto.PayloadScale{},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := mw.Start(); err != nil {
+			b.Fatal(err)
+		}
+		defer mw.Close()
+
+		ctx := context.Background()
+		clients := make([]*client.Client, nClients)
+		for i := range clients {
+			cl, err := client.Dial(mw.Addr())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
+			clients[i] = cl
+		}
+
+		var next atomic.Int64
+		start := time.Now()
+		b.ResetTimer()
+		var wg sync.WaitGroup
+		for c := 0; c < nClients; c++ {
+			wg.Add(1)
+			go func(cl *client.Client) {
+				defer wg.Done()
+				for {
+					i := next.Add(1)
+					if i > int64(b.N) {
+						return
+					}
+					if _, err := cl.Query(ctx, model.Query{
+						ID:        model.QueryID(i),
+						Objects:   []model.ObjectID{model.ObjectID(i%16 + 1)},
+						Cost:      cost.MB,
+						Tolerance: model.AnyStaleness,
+						Time:      time.Duration(i) * time.Millisecond,
+					}); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(clients[c])
+		}
+		wg.Wait()
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "queries/s")
+	})
 }
 
 // BenchmarkClusterScaling measures aggregate query throughput of the
@@ -1091,6 +1078,10 @@ func runReplicationScenario(b *testing.B, replicas int, hedge bool, slowDelay ti
 		// straggler's ExecDelay (cache-answer scan time) actually stalls.
 		Policy: func(int) core.Policy { return core.NewReplica() },
 		Scale:  netproto.PayloadScale{},
+		// Pinned off: the router result cache would answer the fixed
+		// query set after its first pass, so no query would reach the
+		// straggler and hedging would go unmeasured.
+		ResultCacheSize: -1,
 	}
 	if slowDelay > 0 {
 		lcfg.ShardExecDelay = func(s int) time.Duration {
@@ -1442,19 +1433,6 @@ func writeRouterJSON(b *testing.B, dir string) {
 		path, out.QPSRatioOnOverOff, out.CacheHitRateOn, out.CoalescedShareOn)
 }
 
-// codecBenchConn returns a Conn whose writes and reads share one
-// buffer, so one goroutine can send a frame and immediately receive it
-// — the harness for codec round-trip measurement.
-func codecBenchConn(version int) *netproto.Conn {
-	// bytes.Buffer resets its storage whenever it drains, so the
-	// send→recv cycle stays memory-bounded across b.N iterations.
-	c := netproto.NewConn(&bytes.Buffer{})
-	if version >= netproto.ProtoV3 {
-		c.SetVersion(version)
-	}
-	return c
-}
-
 // codecBenchFrame is the representative hot-path frame: a query result
 // with a scaled payload (4 KiB at the default scale) and a row sample.
 func codecBenchFrame() netproto.Frame {
@@ -1474,107 +1452,78 @@ func codecBenchFrame() netproto.Frame {
 	}}
 }
 
-// BenchmarkCodec compares the gob v2 codec against the v3 binary codec
-// on one QueryResultMsg encode+decode round trip — the hot wire-path
-// unit every client→router→shard→repo hop pays. Expect v3 to cut
-// allocs/op by well over 3× and ns/op by over 2× (the tier-1 alloc
-// gate lives in netproto's TestV3AllocAdvantage; the ns trajectory is
-// CI's strict benchdiff check on BENCH_codec.json). When BENCH_JSON_DIR
-// is set the run measures both codecs via testing.Benchmark and writes
-// BENCH_codec.json with higher-is-better ratio metrics.
+// codecRoundTrip returns one QueryResultMsg encode+decode through a
+// Conn whose writes and reads share one buffer, so one goroutine can
+// send a frame and immediately receive it. bytes.Buffer resets its
+// storage whenever it drains, so the cycle stays memory-bounded.
+func codecRoundTrip(b *testing.B) func() {
+	c := netproto.NewConn(&bytes.Buffer{})
+	frame := codecBenchFrame()
+	return func() {
+		if err := c.Send(frame); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Recv(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCodec measures one QueryResultMsg encode+decode round trip
+// through the wire codec — the hot wire-path unit every
+// client→router→shard→repo hop pays. The tier-1 allocation budget
+// lives in netproto's TestV3AllocBudget. When BENCH_JSON_DIR is set the
+// run also writes BENCH_codec.json (ns/op, allocs/op, ops/s) for the
+// CI perf trajectory.
 func BenchmarkCodec(b *testing.B) {
-	for _, codec := range []struct {
-		name    string
-		version int
-	}{
-		{name: "gob", version: 0},
-		{name: "v3", version: netproto.ProtoV3},
-	} {
-		b.Run(codec.name, func(b *testing.B) {
-			c := codecBenchConn(codec.version)
-			frame := codecBenchFrame()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.Send(frame); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := c.Recv(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	roundTrip := codecRoundTrip(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
 	}
 	if dir := os.Getenv("BENCH_JSON_DIR"); dir != "" {
+		b.StopTimer()
 		writeCodecJSON(b, dir)
 	}
 }
 
-// writeCodecJSON measures both codecs with a fixed-iteration loop
-// (testing.Benchmark would deadlock on the benchmark framework's
-// global lock when invoked from inside a running benchmark) and
-// records the comparison for the CI perf trajectory. The ratio metrics
-// are higher-is-better — a shrinking ratio means the v3 advantage
-// eroded — which is what the strict benchdiff gate on main checks.
+// writeCodecJSON measures the codec with a fixed-iteration loop, so the
+// recorded figures do not depend on b.N (testing.Benchmark would
+// deadlock on the benchmark framework's global lock when invoked from
+// inside a running benchmark), and records them for the CI perf
+// trajectory.
 func writeCodecJSON(b *testing.B, dir string) {
 	b.Helper()
-	measure := func(version int) (nsPerOp, allocsPerOp float64) {
-		c := codecBenchConn(version)
-		frame := codecBenchFrame()
-		roundTrip := func() {
-			if err := c.Send(frame); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := c.Recv(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for i := 0; i < 200; i++ { // warm descriptor/pool state
-			roundTrip()
-		}
-		const iters = 50_000
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			roundTrip()
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		return float64(elapsed.Nanoseconds()) / iters,
-			float64(after.Mallocs-before.Mallocs) / iters
+	roundTrip := codecRoundTrip(b)
+	for i := 0; i < 200; i++ { // warm pool state
+		roundTrip()
 	}
-	gobNs, gobAllocs := measure(0)
-	v3Ns, v3Allocs := measure(netproto.ProtoV3)
-	type codecRow struct {
-		Name        string  `json:"name"`
-		NsPerOp     float64 `json:"nsPerOp"`
-		AllocsPerOp float64 `json:"allocsPerOp"`
-		OpsPerSec   float64 `json:"opsPerSec"`
+	const iters = 50_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		roundTrip()
 	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	nsPerOp := float64(elapsed.Nanoseconds()) / iters
 	out := struct {
-		Benchmark string     `json:"benchmark"`
-		Frame     string     `json:"frame"`
-		Timestamp time.Time  `json:"timestamp"`
-		Codecs    []codecRow `json:"codecs"`
-		// Higher is better; the strict CI gate watches these.
-		NsRatioGobOverV3    float64 `json:"nsRatioGobOverV3"`
-		AllocRatioGobOverV3 float64 `json:"allocRatioGobOverV3"`
+		Benchmark   string    `json:"benchmark"`
+		Frame       string    `json:"frame"`
+		Timestamp   time.Time `json:"timestamp"`
+		NsPerOp     float64   `json:"nsPerOp"`
+		AllocsPerOp float64   `json:"allocsPerOp"`
+		OpsPerSec   float64   `json:"opsPerSec"`
 	}{
-		Benchmark: "BenchmarkCodec",
-		Frame:     "QueryResultMsg encode+decode (4KiB payload, 4 rows)",
-		Timestamp: time.Now().UTC(),
-		Codecs: []codecRow{
-			{Name: "gob", NsPerOp: gobNs, AllocsPerOp: gobAllocs, OpsPerSec: 1e9 / gobNs},
-			{Name: "v3", NsPerOp: v3Ns, AllocsPerOp: v3Allocs, OpsPerSec: 1e9 / v3Ns},
-		},
-	}
-	if v3Ns > 0 {
-		out.NsRatioGobOverV3 = gobNs / v3Ns
-	}
-	if v3Allocs > 0 {
-		out.AllocRatioGobOverV3 = gobAllocs / v3Allocs
+		Benchmark:   "BenchmarkCodec",
+		Frame:       "QueryResultMsg encode+decode (4KiB payload, 4 rows)",
+		Timestamp:   time.Now().UTC(),
+		NsPerOp:     nsPerOp,
+		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / iters,
+		OpsPerSec:   1e9 / nsPerOp,
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -1584,8 +1533,7 @@ func writeCodecJSON(b *testing.B, dir string) {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		b.Fatal(err)
 	}
-	b.Logf("wrote %s (gob/v3: %.2fx ns, %.2fx allocs)",
-		path, out.NsRatioGobOverV3, out.AllocRatioGobOverV3)
+	b.Logf("wrote %s (%.0f ns/op, %.1f allocs/op)", path, out.NsPerOp, out.AllocsPerOp)
 }
 
 // --- ablations for the design choices DESIGN.md calls out ---

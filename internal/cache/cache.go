@@ -13,9 +13,9 @@
 // outside the lock on a multiplexed repository session (a small
 // connection pool with RequestID demultiplexing), with per-object
 // singleflight so concurrent queries that need the same object trigger
-// one load. Client connections speaking protocol v2 get a worker
-// goroutine per request, so a query stalled on an object load never
-// head-of-line-blocks its neighbors.
+// one load. Client connections get a worker goroutine per request, so
+// a query stalled on an object load never head-of-line-blocks its
+// neighbors.
 package cache
 
 import (
@@ -91,11 +91,6 @@ type Config struct {
 	// SampleRows optionally provides catalog rows so locally answered
 	// queries can return result samples like the repository does.
 	SampleRows []catalog.Row
-	// Serialized restores the seed's fully serialized handling — one
-	// global lock around each query including its repository I/O. It
-	// exists as the baseline for the concurrency benchmarks and as a
-	// debugging aid; leave it false in deployments.
-	Serialized bool
 	// ExecDelay simulates the node-local scan time of a query answered
 	// at the cache (the paper's cache runs real database scans; a
 	// loopback deployment answers in microseconds). The delay holds a
@@ -123,11 +118,6 @@ type Config struct {
 	// would silently exclude newborns from every region forever.
 	// Required when Resolver is set on a node that can grow.
 	ResolverGrow func([]model.Birth) error
-	// WireVersion caps the protocol version this node negotiates, on
-	// both sides: the version announced to the repository and the
-	// version granted to clients (0 = newest, i.e. the v3 binary
-	// codec; 2 pins gob v2) — the -wire-version escape hatch.
-	WireVersion int
 	// DataDir, when set, enables the durability layer (internal/persist):
 	// the node journals births and admission/eviction decisions, writes
 	// periodic snapshots of its warm state, and on startup replays
@@ -173,9 +163,6 @@ type Middleware struct {
 	// for; older MsgReshard frames (delayed retries from a superseded
 	// resize) are rejected instead of clobbering newer state.
 	reshardEpoch int
-
-	// serialMu implements Config.Serialized (benchmark baseline).
-	serialMu sync.Mutex
 
 	// execMu implements Config.ExecDelay: one serial execution
 	// resource per node.
@@ -405,9 +392,8 @@ func New(cfg Config) (*Middleware, error) {
 		retry = 5 * time.Second
 	}
 	sess, err := netproto.DialSession(cfg.RepoAddr, "cache", netproto.SessionConfig{
-		PoolSize:    cfg.RepoPool,
-		DialRetry:   max(retry, 0),
-		WireVersion: cfg.WireVersion,
+		PoolSize:  cfg.RepoPool,
+		DialRetry: max(retry, 0),
 	})
 	if err != nil {
 		m.closeStore()
@@ -415,21 +401,21 @@ func New(cfg Config) (*Middleware, error) {
 	}
 	m.repo = sess
 
-	// Invalidation subscription (a one-way v1 stream).
+	// Invalidation subscription (a one-way stream).
 	ic, err := net.Dial("tcp", cfg.RepoAddr)
 	if err != nil {
 		sess.Close()
 		m.closeStore()
 		return nil, fmt.Errorf("cache: dial invalidations: %w", err)
 	}
-	m.invRaw = ic
-	invConn := netproto.NewConn(ic)
-	if err := invConn.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: "invalidations"}}); err != nil {
+	invConn, err := netproto.Handshake(ic, "invalidations", 0)
+	if err != nil {
 		sess.Close()
 		ic.Close()
 		m.closeStore()
 		return nil, fmt.Errorf("cache: subscribe: %w", err)
 	}
+	m.invRaw = ic
 	m.wg.Add(1)
 	go m.invalidationLoop(invConn)
 
@@ -805,41 +791,16 @@ func (m *Middleware) acceptLoop() {
 }
 
 func (m *Middleware) serveClient(c *netproto.Conn) error {
-	first, err := c.Recv()
-	if err != nil {
+	if _, err := netproto.ServeHandshake(c); err != nil {
 		return netproto.IgnoreClosed(err)
 	}
-	hello, ok := first.Body.(netproto.Hello)
-	if !ok || first.Type != netproto.MsgHello {
-		return fmt.Errorf("cache: expected hello, got %s", first.Type)
-	}
-	version, err := netproto.ServeHandshake(c, hello, m.cfg.WireVersion)
-	if err != nil {
-		return netproto.IgnoreClosed(err)
-	}
-	if version >= netproto.ProtoV2 {
-		return netproto.ServeMux(c, 0, func(f netproto.Frame) netproto.Frame {
-			reply, err := m.handleClientFrame(f)
-			if err != nil {
-				return netproto.ErrorFrame("%v", err)
-			}
-			return reply
-		}, m.cfg.Logf)
-	}
-	// v1 lockstep compatibility path: replies in request order.
-	for {
-		f, err := c.Recv()
-		if err != nil {
-			return netproto.IgnoreClosed(err)
-		}
+	return netproto.ServeMux(c, 0, func(f netproto.Frame) netproto.Frame {
 		reply, err := m.handleClientFrame(f)
 		if err != nil {
-			return err
+			return netproto.ErrorFrame("%v", err)
 		}
-		if err := c.Send(reply); err != nil {
-			return netproto.IgnoreClosed(err)
-		}
-	}
+		return reply
+	}, m.cfg.Logf)
 }
 
 func (m *Middleware) handleClientFrame(f netproto.Frame) (netproto.Frame, error) {
@@ -941,10 +902,6 @@ func (meta *queryMeta) span(node string, objects int, source string, elapsed tim
 }
 
 func (m *Middleware) handleQuery(ctx context.Context, q *model.Query, meta queryMeta) netproto.Frame {
-	if m.cfg.Serialized {
-		m.serialMu.Lock()
-		defer m.serialMu.Unlock()
-	}
 	start := time.Now()
 	m.queries.Add(1)
 

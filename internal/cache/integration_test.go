@@ -267,8 +267,8 @@ func TestServerRejectsUnknownRole(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	c := netproto.NewConn(nc)
-	if err := c.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: "intruder"}}); err != nil {
+	c, err := netproto.Handshake(nc, "intruder", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// The server closes the connection; the next receive fails.
@@ -285,8 +285,8 @@ func TestPipelineOverNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	c := netproto.NewConn(nc)
-	if err := c.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: "pipeline"}}); err != nil {
+	c, err := netproto.Handshake(nc, "pipeline", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Send(netproto.Frame{Type: netproto.MsgUpdateFeed, Body: netproto.UpdateFeedMsg{

@@ -41,11 +41,7 @@ func TestDialRetriesRefusedConnection(t *testing.T) {
 		if err != nil {
 			return
 		}
-		c := netproto.NewConn(conn)
-		if _, err := c.Recv(); err != nil {
-			return
-		}
-		_ = c.Send(netproto.Frame{Type: netproto.MsgHelloAck, Body: netproto.HelloAck{Version: netproto.ProtoV2}})
+		_, _ = netproto.ServeHandshake(netproto.NewConn(conn))
 	}()
 	cl, err := Dial(addr) // default retry window covers the 250ms gap
 	if err != nil {
@@ -54,8 +50,7 @@ func TestDialRetriesRefusedConnection(t *testing.T) {
 	cl.Close()
 }
 
-// fakeCache runs a minimal v2 cache endpoint: it acknowledges the
-// handshake and answers each query via handle (concurrently, echoing
+// fakeCache runs a minimal cache endpoint: it completes the handshake and answers each query via handle (concurrently, echoing
 // RequestIDs), until the connection closes.
 func fakeCache(t *testing.T, handle func(f netproto.Frame) netproto.Frame) string {
 	t.Helper()
@@ -73,13 +68,7 @@ func fakeCache(t *testing.T, handle func(f netproto.Frame) netproto.Frame) strin
 			go func() {
 				defer conn.Close()
 				c := netproto.NewConn(conn)
-				if _, err := c.Recv(); err != nil { // hello
-					return
-				}
-				if err := c.Send(netproto.Frame{
-					Type: netproto.MsgHelloAck,
-					Body: netproto.HelloAck{Version: netproto.ProtoV2},
-				}); err != nil {
+				if _, err := netproto.ServeHandshake(c); err != nil {
 					return
 				}
 				for {

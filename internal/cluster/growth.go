@@ -43,8 +43,8 @@ func (r *Router) subscribeInvalidations() error {
 	if err != nil {
 		return fmt.Errorf("cluster: dial invalidations: %w", err)
 	}
-	c := netproto.NewConn(nc)
-	if err := c.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: "invalidations"}}); err != nil {
+	c, err := netproto.Handshake(nc, "invalidations", r.cfg.DialTimeout)
+	if err != nil {
 		nc.Close()
 		return fmt.Errorf("cluster: subscribe invalidations: %w", err)
 	}

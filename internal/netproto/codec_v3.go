@@ -1,13 +1,9 @@
-// Wire codec v3: hand-rolled binary framing for every frame type.
+// Wire codec v3: hand-rolled binary framing for every frame type,
+// from a connection's first byte (the Hello) to its last.
 //
-// Protocol v3 keeps the v2 request semantics (RequestID multiplexing,
-// Hello/HelloAck negotiation) but replaces gob on the post-handshake
-// stream with explicit little-endian field encoding: one length-prefixed
-// frame per message, varint-encoded integers and slice lengths, payload
-// bytes appended without intermediate copies. The handshake itself
-// (Hello → HelloAck) always rides gob so v1/v2 peers negotiate down
-// transparently; both sides switch codecs at the same stream position,
-// immediately after the HelloAck.
+// Each message is one length-prefixed frame with explicit
+// little-endian field encoding: varint-encoded integers and slice
+// lengths, payload bytes appended without intermediate copies.
 //
 // Frame layout:
 //
@@ -21,9 +17,9 @@
 // (including time.Duration and cost.Bytes) are zigzag varints, float64s
 // are 8 raw LE bytes, bools are one byte (0/1), strings and byte slices
 // are uvarint length + bytes, element slices are uvarint count +
-// elements. Zero-length slices decode as nil, matching gob, so the two
-// codecs are interchangeable value-for-value (pinned by the round-trip
-// property test).
+// elements. Zero-length slices decode as nil: a body whose empty
+// slices are nil survives an encode→decode round trip exactly (pinned
+// by the round-trip property test).
 //
 // Buffer ownership: encoding stages frames in pooled scratch buffers
 // (returned to the pool after the bytes reach the connection's write
@@ -186,7 +182,7 @@ func (d *decBuf) str() string {
 }
 
 // bytes copies a byte slice out of the scratch buffer. Zero-length
-// slices decode as nil to match gob.
+// slices decode as nil.
 func (d *decBuf) bytes() []byte {
 	n := d.length(1)
 	if d.err != nil || n == 0 {
@@ -379,11 +375,10 @@ func decSpan(d *decBuf) TraceSpan {
 
 // --- frame bodies ---
 
-// encodeBodyV3 appends the body's binary layout, dispatching on the
+// encodeBody appends the body's binary layout, dispatching on the
 // concrete type. A body whose type does not belong to the vocabulary is
-// an error (and poisons the connection for sending, like a gob encode
-// failure would).
-func encodeBodyV3(e *encBuf, t MsgType, body any) error {
+// an error; nothing is written for it.
+func encodeBody(e *encBuf, t MsgType, body any) error {
 	switch b := body.(type) {
 	case Hello:
 		e.str(b.Role)
@@ -558,9 +553,9 @@ func encodeBodyV3(e *encBuf, t MsgType, body any) error {
 	return nil
 }
 
-// decodeBodyV3 decodes the body the frame type implies. The body owns
+// decodeBody decodes the body the frame type implies. The body owns
 // all of its memory (nothing aliases the connection's scratch buffer).
-func decodeBodyV3(d *decBuf, t MsgType) (any, error) {
+func decodeBody(d *decBuf, t MsgType) (any, error) {
 	var body any
 	switch t {
 	case MsgHello:

@@ -13,30 +13,15 @@ import (
 	"github.com/deltacache/delta/internal/model"
 )
 
-// encodeFrames renders frames onto a persistent gob stream exactly as
-// Conn.Send does, giving the fuzzer structurally valid prefixes to
-// mutate.
+// encodeFrames renders frames exactly as Conn.Send puts them on the
+// wire, giving the fuzzer structurally valid prefixes to mutate.
 func encodeFrames(t testing.TB, frames ...Frame) []byte {
-	t.Helper()
-	return encodeFramesVersion(t, 0, frames...)
-}
-
-// encodeFramesV3 renders frames with the v3 binary codec.
-func encodeFramesV3(t testing.TB, frames ...Frame) []byte {
-	t.Helper()
-	return encodeFramesVersion(t, ProtoV3, frames...)
-}
-
-func encodeFramesVersion(t testing.TB, version int, frames ...Frame) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	c := NewConn(struct {
 		io.Reader
 		io.Writer
 	}{Reader: bytes.NewReader(nil), Writer: &buf})
-	if version >= ProtoV3 {
-		c.SetVersion(version)
-	}
 	for _, f := range frames {
 		if err := c.Send(f); err != nil {
 			t.Fatalf("encode seed frame %s: %v", f.Type, err)
@@ -50,8 +35,8 @@ func encodeFramesVersion(t testing.TB, version int, frames ...Frame) []byte {
 // invalidation stream).
 func seedFrames() []Frame {
 	return []Frame{
-		{Type: MsgHello, Body: Hello{Role: "cache", Version: ProtoV2}},
-		{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV2}},
+		{Type: MsgHello, Body: Hello{Role: "cache", Version: ProtoV3}},
+		{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV3}},
 		{Type: MsgQuery, RequestID: 7, Body: QueryMsg{Query: model.Query{
 			ID: 1, Objects: []model.ObjectID{1, 2}, Cost: cost.MB,
 			Tolerance: model.AnyStaleness, Time: time.Second,
@@ -126,17 +111,14 @@ func seedFrames() []Frame {
 	}
 }
 
-// drainStream feeds data to Conn.Recv under one codec until the first
-// error: every frame either decodes or errors, never panics, and the
-// input is finite so EOF terminates the loop.
-func drainStream(version int, data []byte) {
+// drainStream feeds data to Conn.Recv until the first error: every
+// frame either decodes or errors, never panics, and the input is finite
+// so EOF terminates the loop.
+func drainStream(data []byte) {
 	c := NewConn(struct {
 		io.Reader
 		io.Writer
 	}{Reader: bytes.NewReader(data), Writer: io.Discard})
-	if version >= ProtoV3 {
-		c.SetVersion(version)
-	}
 	for {
 		if _, err := c.Recv(); err != nil {
 			return
@@ -144,82 +126,75 @@ func drainStream(version int, data []byte) {
 	}
 }
 
-// FuzzDecodeFrame feeds arbitrary bytes to Conn.Recv under BOTH codecs
-// (gob and v3 binary): malformed, truncated, or bit-flipped streams —
-// including the growth frames — must surface as errors, never as
-// panics or unbounded allocations, whichever codec the connection
-// negotiated. The checked-in seed corpus under
-// testdata/fuzz/FuzzDecodeFrame holds hand-written malformed streams
-// in both encodings; the programmatic seeds below add every valid
-// frame shape in both encodings plus systematic truncations and flips.
-func FuzzDecodeFrame(f *testing.F) {
-	valid := encodeFrames(f, seedFrames()...)
-	validV3 := encodeFramesV3(f, seedFrames()...)
-	f.Add(valid)
-	f.Add(validV3)
-	f.Add(valid[:len(valid)/2])                                         // truncated mid-stream
-	f.Add(validV3[:len(validV3)/2])                                     // truncated mid-stream (v3 framing)
-	f.Add(valid[:1])                                                    // truncated inside the first length
-	f.Add(validV3[:3])                                                  // truncated inside the v3 length prefix
-	f.Add([]byte{})                                                     // empty stream
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) // absurd length prefix
+// fuzzSeeds is the programmatic seed set: whole streams, the edge cases
+// of the length prefix, a pre-v3 peer's gob Hello, and four variants of
+// every seed frame (whole, bit-flipped, truncated mid-body, and with a
+// length prefix one byte longer than its body).
+func fuzzSeeds(t testing.TB) [][]byte {
+	valid := encodeFrames(t, seedFrames()...)
+	gobHello, err := os.ReadFile(filepath.Join("testdata", "prev3", "hello-v3.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := [][]byte{
+		valid,
+		valid[:len(valid)/2], // truncated mid-stream
+		valid[:3],            // truncated inside the length prefix
+		{},                   // empty stream
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, // absurd length prefix
+		{0, 0, 0, 0},         // zero-length frame
+		{2, 0, 0, 0, 200, 0}, // unknown frame type
+		gobHello,             // a pre-v3 peer's first frame
+	}
 	for _, fr := range seedFrames() {
-		for _, enc := range []func(testing.TB, ...Frame) []byte{encodeFrames, encodeFramesV3} {
-			one := enc(f, fr)
-			f.Add(one)
-			if len(one) > 4 {
-				flipped := bytes.Clone(one)
-				flipped[len(flipped)/2] ^= 0x55
-				f.Add(flipped)
-			}
-		}
+		one := encodeFrames(t, fr)
+		flipped := bytes.Clone(one)
+		flipped[len(flipped)/2] ^= 0x55
+		long := bytes.Clone(one)
+		long[0]++
+		seeds = append(seeds, one, flipped, one[:len(one)/2], long)
+	}
+	return seeds
+}
+
+// FuzzDecodeFrame feeds arbitrary bytes to Conn.Recv: malformed,
+// truncated, or bit-flipped streams — including the growth frames and
+// the gob streams of pre-v3 peers — must surface as errors, never as
+// panics or unbounded allocations. The checked-in seed corpus under
+// testdata/fuzz/FuzzDecodeFrame holds hand-written malformed v3
+// streams plus the gob streams pre-v3 builds wrote; fuzzSeeds adds
+// every valid frame shape plus systematic truncations and flips.
+func FuzzDecodeFrame(f *testing.F) {
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		drainStream(0, data)
-		drainStream(ProtoV3, data)
+		drainStream(data)
 	})
 }
 
-// TestDecodeFrameSeedCorpus replays the programmatic seeds through the
+// TestDecodeFrameSeedCorpus replays the programmatic seeds, plus every
+// prefix of each single-frame seed at a stride of 7 bytes, through the
 // fuzz body on ordinary `go test` runs (the fuzz engine only replays
 // testdata seeds), so the malformed-input contract is exercised in
-// tier-1 CI too — under both codecs.
+// tier-1 CI too.
 func TestDecodeFrameSeedCorpus(t *testing.T) {
-	valid := encodeFrames(t, seedFrames()...)
-	validV3 := encodeFramesV3(t, seedFrames()...)
-	cases := [][]byte{
-		valid,
-		validV3,
-		valid[:len(valid)/2],
-		validV3[:len(validV3)/2],
-		valid[:1],
-		validV3[:3],
-		{},
-		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
-	}
+	cases := fuzzSeeds(t)
 	for _, fr := range seedFrames() {
-		for _, enc := range []func(testing.TB, ...Frame) []byte{encodeFrames, encodeFramesV3} {
-			one := enc(t, fr)
-			cases = append(cases, one)
-			for cut := 1; cut < len(one); cut += 7 {
-				cases = append(cases, one[:cut])
-			}
-			flipped := bytes.Clone(one)
-			flipped[len(flipped)/2] ^= 0x55
-			cases = append(cases, flipped)
+		one := encodeFrames(t, fr)
+		for cut := 1; cut < len(one); cut += 7 {
+			cases = append(cases, one[:cut])
 		}
 	}
 	for i, data := range cases {
-		for _, version := range []int{0, ProtoV3} {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("case %d (codec v%d): Recv panicked: %v", i, version, r)
-					}
-				}()
-				drainStream(version, data)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("case %d: Recv panicked: %v", i, r)
+				}
 			}()
-		}
+			drainStream(data)
+		}()
 	}
 }
 
@@ -237,17 +212,17 @@ func TestWriteV3FuzzCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	valid := encodeFramesV3(t, seedFrames()...)
-	oneBirth := encodeFramesV3(t, seedFrames()[5]) // MsgObjectBirth
+	valid := encodeFrames(t, seedFrames()...)
+	oneBirth := encodeFrames(t, seedFrames()[5]) // MsgObjectBirth
 	flipped := bytes.Clone(oneBirth)
 	flipped[len(flipped)/2] ^= 0x55
-	traced := encodeFramesV3(t, seedFrames()[12]) // QueryResultMsg with TraceID+Spans tail
+	traced := encodeFrames(t, seedFrames()[12]) // QueryResultMsg with TraceID+Spans tail
 	tracedFlip := bytes.Clone(traced)
-	tracedFlip[len(tracedFlip)-2] ^= 0x55           // corrupt inside the trace tail
-	reshardK := encodeFramesV3(t, seedFrames()[13]) // ReshardMsg with the Replicas tail
+	tracedFlip[len(tracedFlip)-2] ^= 0x55         // corrupt inside the trace tail
+	reshardK := encodeFrames(t, seedFrames()[13]) // ReshardMsg with the Replicas tail
 	reshardKFlip := bytes.Clone(reshardK)
-	reshardKFlip[len(reshardKFlip)-1] ^= 0x55    // corrupt the Replicas tail byte
-	grant := encodeFramesV3(t, seedFrames()[15]) // BirthGrantMsg with the Epoch tail
+	reshardKFlip[len(reshardKFlip)-1] ^= 0x55  // corrupt the Replicas tail byte
+	grant := encodeFrames(t, seedFrames()[15]) // BirthGrantMsg with the Epoch tail
 	grantFlip := bytes.Clone(grant)
 	grantFlip[len(grantFlip)/2] ^= 0x55 // corrupt mid-batch
 	entries := map[string][]byte{

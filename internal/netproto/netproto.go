@@ -1,19 +1,19 @@
-// Package netproto defines Delta's wire protocol: length-prefixed,
-// gob-encoded frames carrying the three data-communication mechanisms of
+// Package netproto defines Delta's wire protocol: length-prefixed
+// binary frames carrying the three data-communication mechanisms of
 // the paper (query shipping, update shipping, object loading) plus the
 // control-plane messages (invalidation notices, statistics).
 //
-// Protocol versions: v1 is lockstep — one request in flight per
-// connection, replies in order, no handshake ack. v2 adds a RequestID
-// correlation field to every frame and a version/feature handshake
-// (Hello → HelloAck), so any number of requests can be in flight per
-// connection and replies may arrive out of order. Servers negotiate
-// down to the peer's version, so lockstep dialers keep working. Note
-// that versioning governs request semantics, not stream encoding: v2
-// also switched the wire to persistent gob streams, so binaries built
-// from the pre-v2 tree (length-prefixed standalone gob messages) are
-// not byte-compatible and must be rebuilt. See docs/PROTOCOL.md for
-// the full frame format and role lifecycle.
+// Every connection speaks protocol v3 from its first byte: the dialer
+// sends a Hello announcing its role and ProtoV3, the acceptor answers
+// with a HelloAck (or a MsgError refusing the peer), and frames flow
+// in the binary codec of codec_v3.go. Request connections multiplex:
+// every frame carries a RequestID, any number of requests may be in
+// flight, and replies may arrive out of order. One-way streams (the
+// repository's invalidation stream, the update pipeline) use the same
+// handshake and framing. Peers built before v3-only framing are
+// refused on their first frame with ErrNotV3 or ErrVersion, never
+// served and never left hanging. See docs/PROTOCOL.md for the frame
+// format and role lifecycle.
 //
 // Payload scaling: the paper's traffic costs are logical data sizes; a
 // laptop deployment cannot move hundreds of gigabytes, so messages carry
@@ -24,13 +24,12 @@ package netproto
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -42,61 +41,89 @@ import (
 // scaled payload, small enough to catch stream corruption early.
 const MaxFrame = 16 << 20
 
-// Protocol versions negotiated in the Hello/HelloAck handshake.
-const (
-	// ProtoV1 is the original lockstep protocol: one outstanding
-	// request per connection, replies strictly in order, no HelloAck.
-	ProtoV1 = 1
-	// ProtoV2 multiplexes: frames carry a RequestID, replies may be
-	// reordered, and the server acknowledges the handshake.
-	ProtoV2 = 2
-	// ProtoV3 keeps v2's request semantics but switches the
-	// post-handshake stream to the hand-rolled binary codec (see
-	// codec_v3.go): length-prefixed frames, varint fields, pooled
-	// buffers, no gob on the hot path. The handshake itself always
-	// rides gob so every version negotiates over one vocabulary.
-	ProtoV3 = 3
+// ProtoV3 is the protocol version every Hello and HelloAck carries:
+// RequestID multiplexing over the binary codec of codec_v3.go.
+const ProtoV3 = 3
+
+// maxHelloFrame bounds a connection's first frame (the Hello, or the
+// HelloAck or MsgError answering it). A pre-v3 peer's gob stream opens
+// with bytes that read as a 17 MB v3 length, so the bound turns that
+// peer into an immediate, named refusal instead of an "oversized
+// frame" read against MaxFrame.
+const maxHelloFrame = 4 << 10
+
+var (
+	// ErrNotV3 reports a peer whose first frame is not v3 framing,
+	// typically a build that predates v3-only (its handshake rode gob).
+	ErrNotV3 = errors.New("netproto: peer is not speaking v3 framing (pre-v3 build?)")
+	// ErrVersion reports a v3-framed Hello announcing a protocol
+	// version other than ProtoV3.
+	ErrVersion = errors.New("netproto: this node speaks only protocol v3")
 )
 
-// NegotiateVersion returns the effective protocol version for a peer
-// that announced the given version. Zero (a v1 peer's gob-decoded
-// Hello has no Version field) negotiates to v1.
-func NegotiateVersion(peer int) int {
-	switch {
-	case peer >= ProtoV3:
-		return ProtoV3
-	case peer == ProtoV2:
-		return ProtoV2
-	default:
-		return ProtoV1
+// ServeHandshake completes the accept side of the handshake on a fresh
+// connection: it reads the peer's Hello, checks that it announces
+// ProtoV3, and answers with a HelloAck. A Hello announcing any other
+// version is answered with a MsgError naming the v3 requirement; a
+// first frame that is not v3 framing at all fails with ErrNotV3. On
+// error the caller closes the connection.
+func ServeHandshake(c *Conn) (Hello, error) {
+	first, err := c.recvHandshake()
+	if err != nil {
+		return Hello{}, err
 	}
+	hello, ok := first.Body.(Hello)
+	if !ok {
+		return Hello{}, fmt.Errorf("netproto: expected hello, got %s", first.Type)
+	}
+	if hello.Version != ProtoV3 {
+		err := fmt.Errorf("%w; peer announced v%d", ErrVersion, hello.Version)
+		// Best effort: the connection is refused whether or not the
+		// peer reads the reason.
+		_ = c.Send(Frame{Type: MsgError, Body: ErrorMsg{Message: err.Error()}})
+		return Hello{}, err
+	}
+	return hello, c.Send(Frame{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV3}})
 }
 
-// ServeHandshake completes the server half of a request-connection
-// handshake after the Hello has been received: it negotiates against
-// the peer's announced version (capped at maxVersion when positive —
-// the -wire-version escape hatch), sends the HelloAck v2+ peers wait
-// for, and switches the stream to the binary codec for v3 peers.
-// Returns the negotiated version; the caller serves lockstep below v2.
-//
-// The cap clamps to v2, mirroring the dial side: it selects the stream
-// codec, never the request semantics, and capping a v2+ peer below v2
-// would suppress the HelloAck it is blocked waiting for. v1 is only
-// ever negotiated when the peer itself announced it.
-func ServeHandshake(c *Conn, hello Hello, maxVersion int) (int, error) {
-	v := NegotiateVersion(hello.Version)
-	if maxVersion > 0 && v > max(maxVersion, ProtoV2) {
-		v = max(maxVersion, ProtoV2)
+// Handshake completes the dial side of the handshake on a fresh
+// connection: it announces role in a v3 Hello and waits up to timeout
+// (5s when zero) for the HelloAck. A refusal, a reply in another
+// framing, or silence fails with an error saying the peer may predate
+// v3-only framing. The caller owns nc and closes it on error.
+func Handshake(nc net.Conn, role string, timeout time.Duration) (*Conn, error) {
+	if timeout <= 0 {
+		timeout = defaultDialTimeout
 	}
-	if v >= ProtoV2 {
-		if err := c.Send(Frame{Type: MsgHelloAck, Body: HelloAck{Version: v}}); err != nil {
-			return 0, err
+	c := NewConn(nc)
+	err := nc.SetDeadline(time.Now().Add(timeout))
+	if err == nil {
+		err = c.Send(Frame{Type: MsgHello, Body: Hello{Role: role, Version: ProtoV3}})
+	}
+	var ack Frame
+	if err == nil {
+		ack, err = c.recvHandshake()
+	}
+	if err == nil {
+		switch body := ack.Body.(type) {
+		case HelloAck:
+			if body.Version != ProtoV3 {
+				err = fmt.Errorf("%w; peer acknowledged v%d", ErrVersion, body.Version)
+			}
+		case ErrorMsg:
+			err = &RemoteError{Message: body.Message}
+		default:
+			err = fmt.Errorf("netproto: expected hello-ack, got %s", ack.Type)
 		}
 	}
-	if v >= ProtoV3 {
-		c.SetVersion(v)
+	if err == nil {
+		err = nc.SetDeadline(time.Time{})
 	}
-	return v, nil
+	if err != nil {
+		return nil, fmt.Errorf("netproto: handshake with %s (the peer may predate v3-only framing): %w",
+			nc.RemoteAddr(), err)
+	}
+	return c, nil
 }
 
 // IsClosed reports whether err indicates an orderly or forced
@@ -182,8 +209,7 @@ const (
 	MsgClientQuery
 	// MsgHello introduces a connection and its role.
 	MsgHello
-	// MsgHelloAck acknowledges a v2 Hello with the negotiated
-	// version (never sent to v1 peers).
+	// MsgHelloAck acknowledges a v3 Hello.
 	MsgHelloAck
 	// MsgShardQuery ships one fragment of a scattered query from a
 	// cluster router to the shard that owns the fragment's objects.
@@ -246,12 +272,11 @@ func (t MsgType) String() string {
 	return fmt.Sprintf("msg(%d)", uint8(t))
 }
 
-// Hello introduces a connection. v1 peers send only Role; v2 peers set
-// Version (and optionally Features) and wait for a HelloAck.
+// Hello introduces a connection: the first frame every dialer sends.
 type Hello struct {
 	Role string // "cache", "client", "pipeline", "invalidations"
-	// Version is the highest protocol version the peer speaks.
-	// Zero means a v1 peer (the field predates versioning).
+	// Version is the protocol version the peer speaks; acceptors
+	// refuse anything but ProtoV3.
 	Version int
 	// Features lists optional capabilities the peer supports.
 	// Reserved: no optional capability exists yet, so it is always
@@ -260,7 +285,7 @@ type Hello struct {
 	Features []string
 }
 
-// HelloAck completes a v2 handshake with the negotiated version.
+// HelloAck completes the handshake; Version is always ProtoV3.
 // Features mirrors Hello's reserved field.
 type HelloAck struct {
 	Version  int
@@ -292,8 +317,7 @@ type QueryMsg struct {
 	// TraceID, when nonzero, asks every node on the query's path to
 	// record TraceSpans for this query (see QueryResultMsg.Spans and
 	// the obs package's trace ring). It rides the v3 frame tail —
-	// absent on older frames, which decode it as zero (untraced) — and
-	// gob simply ignores it on v2 streams.
+	// absent on older frames, which decode it as zero (untraced).
 	TraceID uint64
 }
 
@@ -641,8 +665,8 @@ type ErrorMsg struct {
 	Message string
 }
 
-// Frame is the unit of transmission. RequestID correlates a v2+ reply
-// with its request; it is zero on v1 connections and one-way streams.
+// Frame is the unit of transmission. RequestID correlates a reply with
+// its request; it is zero on one-way streams.
 type Frame struct {
 	Type      MsgType
 	RequestID uint64
@@ -655,56 +679,18 @@ type Frame struct {
 	Release func()
 }
 
-func init() {
-	// gob needs concrete types registered for the Frame.Body interface.
-	gob.Register(Hello{})
-	gob.Register(HelloAck{})
-	gob.Register(QueryMsg{})
-	gob.Register(QueryResultMsg{})
-	gob.Register(UpdateFeedMsg{})
-	gob.Register(ShipUpdatesMsg{})
-	gob.Register(UpdatesMsg{})
-	gob.Register(LoadObjectMsg{})
-	gob.Register(ObjectDataMsg{})
-	gob.Register(InvalidateMsg{})
-	gob.Register(StatsMsg{})
-	gob.Register(ErrorMsg{})
-	gob.Register(ShardQueryMsg{})
-	gob.Register(ClusterStatsMsg{})
-	gob.Register(AdminResizeMsg{})
-	gob.Register(RebalanceStatusMsg{})
-	gob.Register(ReshardMsg{})
-	gob.Register(MigrateBeginMsg{})
-	gob.Register(MigrateChunkMsg{})
-	gob.Register(MigrateDoneMsg{})
-	gob.Register(ObjectBirthMsg{})
-	gob.Register(BirthGrantMsg{})
-}
-
-// Conn wraps a stream with framed messages. Connections start on the
-// gob codec (shared by v1 and v2: persistent encoder/decoder streams,
-// type descriptors once per connection); a v3 handshake switches both
-// directions to the binary codec (codec_v3.go) via SetVersion. Send is
-// safe for any number of concurrent writer goroutines (frames are
-// serialized internally — this is what lets v2+ servers reply from
-// per-request workers over one socket); Recv must be called from a
-// single reader goroutine.
+// Conn wraps a stream with framed messages in the binary codec
+// (codec_v3.go). Send is safe for any number of concurrent writer
+// goroutines (frames are serialized internally — this is what lets
+// servers reply from per-request workers over one socket); Recv must be
+// called from a single reader goroutine.
 type Conn struct {
-	sendMu  sync.Mutex // serializes whole frames onto bw
-	bw      *bufio.Writer
-	sendBuf bytes.Buffer // staging area so oversized frames die here, not at the peer
-	enc     *gob.Encoder // writes into sendBuf
-	sendErr error        // sticky: a discarded encode desyncs the gob stream
+	sendMu sync.Mutex // serializes whole frames onto bw
+	bw     *bufio.Writer
 
-	lim    *limitReader
-	dec    *gob.Decoder
+	br     *bufio.Reader
 	closer io.Closer // underlying stream, when closable (see Abort)
-
-	// version is the stream codec: 0 means the gob framing v1/v2
-	// share, ProtoV3 means binary frames. Written only by SetVersion at
-	// a handshake boundary (see its contract).
-	version int
-	// recvBuf is the v3 receive scratch, reused across Recvs; decoded
+	// recvBuf is the receive scratch, reused across Recvs; decoded
 	// frames never alias it (codec_v3.go's ownership rule).
 	recvBuf []byte
 }
@@ -712,160 +698,95 @@ type Conn struct {
 // NewConn wraps a stream.
 func NewConn(rw io.ReadWriter) *Conn {
 	c := &Conn{
-		bw:  bufio.NewWriterSize(rw, 64<<10),
-		lim: &limitReader{r: bufio.NewReaderSize(rw, 64<<10)},
+		bw: bufio.NewWriterSize(rw, 64<<10),
+		br: bufio.NewReaderSize(rw, 64<<10),
 	}
 	if cl, ok := rw.(io.Closer); ok {
 		c.closer = cl
 	}
-	c.enc = gob.NewEncoder(&c.sendBuf)
-	c.dec = gob.NewDecoder(c.lim)
 	return c
 }
 
 // Abort force-closes the underlying stream (when it is closable),
-// unblocking a concurrent Recv. Used when the send side is poisoned
-// and the connection must not linger as a zombie that reads requests
-// it can never answer.
+// unblocking a concurrent Recv. Used when the send side is broken and
+// the connection must not linger as a zombie that reads requests it
+// can never answer.
 func (c *Conn) Abort() {
 	if c.closer != nil {
 		c.closer.Close()
 	}
 }
 
-// SetVersion switches the connection's stream codec: ProtoV3 selects
-// the binary framing, anything lower the gob framing v1/v2 share. It
-// must be called at a frame boundary with no Send or Recv in flight —
-// in practice only the handshake owner calls it (ServeHandshake on the
-// accept side, DialSession on the dial side), immediately after the
-// HelloAck crosses, so both ends switch at the same stream position.
-func (c *Conn) SetVersion(v int) { c.version = v }
-
-// Version reports the stream codec version: ProtoV3 after a v3
-// handshake upgraded the connection, 0 for the gob framing v1 and v2
-// share.
-func (c *Conn) Version() int { return c.version }
-
-// Send writes one frame. Frames over MaxFrame are rejected here, at
-// the sender, before any bytes hit the wire — shipping one would
-// force the receiver to tear down the whole multiplexed connection.
-// On the gob codec a rejected or failed encode poisons the connection
-// for sending (the persistent encoder's type-descriptor state can no
-// longer be trusted); the v3 codec stages frames fully before writing,
-// so a failed encode leaves the stream clean. Receiving is unaffected
-// either way. A non-nil f.Release is invoked exactly once before Send
+// Send writes one frame. It stages the frame in a pooled scratch
+// buffer (encoding happens outside the send lock, so concurrent writers
+// only serialize on the socket write) and flushes it. Frames over
+// MaxFrame and bodies outside the vocabulary are rejected here, at the
+// sender, before any bytes hit the wire, so a failed encode leaves the
+// stream clean. A non-nil f.Release is invoked exactly once before Send
 // returns.
 func (c *Conn) Send(f Frame) error {
 	if f.Release != nil {
 		defer f.Release()
 	}
-	if c.version >= ProtoV3 {
-		return c.sendV3(f)
-	}
-	var body frameBody
-	body.Type = f.Type
-	body.RequestID = f.RequestID
-	body.Body = f.Body
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	if c.sendErr != nil {
-		return c.sendErr
-	}
-	c.sendBuf.Reset()
-	if err := c.enc.Encode(&body); err != nil {
-		c.sendErr = fmt.Errorf("netproto: encode %s: %w", f.Type, err)
-		return c.sendErr
-	}
-	if c.sendBuf.Len() > MaxFrame {
-		c.sendErr = fmt.Errorf("netproto: frame %s too large (%d bytes)", f.Type, c.sendBuf.Len())
-		return c.sendErr
-	}
-	if _, err := c.bw.Write(c.sendBuf.Bytes()); err != nil {
-		return fmt.Errorf("netproto: write %s: %w", f.Type, err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return fmt.Errorf("netproto: flush %s: %w", f.Type, err)
-	}
-	return nil
-}
-
-// sendV3 stages one binary frame in a pooled scratch buffer (encoding
-// happens outside the send lock, so concurrent writers only serialize
-// on the actual socket write) and flushes it.
-func (c *Conn) sendV3(f Frame) error {
 	bufp := encPool.Get().(*[]byte)
 	e := encBuf{b: (*bufp)[:0]}
 	e.b = append(e.b, 0, 0, 0, 0) // length prefix, patched below
 	e.u8(byte(f.Type))
 	e.uvarint(f.RequestID)
-	err := encodeBodyV3(&e, f.Type, f.Body)
+	err := encodeBody(&e, f.Type, f.Body)
 	if err == nil && len(e.b)-4 > MaxFrame {
 		err = fmt.Errorf("netproto: frame %s too large (%d bytes)", f.Type, len(e.b)-4)
 	}
-	var werr, ferr error
 	if err == nil {
 		binary.LittleEndian.PutUint32(e.b[:4], uint32(len(e.b)-4))
 		c.sendMu.Lock()
-		if c.sendErr != nil {
-			err = c.sendErr
-		} else {
-			_, werr = c.bw.Write(e.b)
-			if werr == nil {
-				ferr = c.bw.Flush()
-			}
+		if _, werr := c.bw.Write(e.b); werr != nil {
+			err = fmt.Errorf("netproto: write %s: %w", f.Type, werr)
+		} else if ferr := c.bw.Flush(); ferr != nil {
+			err = fmt.Errorf("netproto: flush %s: %w", f.Type, ferr)
 		}
 		c.sendMu.Unlock()
 	}
 	*bufp = e.b[:0]
 	encPool.Put(bufp)
-	switch {
-	case err != nil:
-		return err
-	case werr != nil:
-		return fmt.Errorf("netproto: write %s: %w", f.Type, werr)
-	case ferr != nil:
-		return fmt.Errorf("netproto: flush %s: %w", f.Type, ferr)
-	}
-	return nil
+	return err
 }
 
-// Recv reads one frame. A frame whose wire size exceeds MaxFrame
+// Recv reads one frame into the per-connection scratch buffer and
+// decodes it; the decoded frame owns all of its memory, so callers may
+// hold it across later Recvs. A frame whose length exceeds MaxFrame
 // aborts the stream.
-func (c *Conn) Recv() (Frame, error) {
-	if c.version >= ProtoV3 {
-		return c.recvV3()
+func (c *Conn) Recv() (Frame, error) { return c.recv(MaxFrame) }
+
+// recvHandshake reads a connection's first frame, bounded to
+// maxHelloFrame. Any failure other than a closed stream or an expired
+// deadline means the peer is not speaking v3 framing and wraps
+// ErrNotV3.
+func (c *Conn) recvHandshake() (Frame, error) {
+	f, err := c.recv(maxHelloFrame)
+	if err != nil && !IsClosed(err) && !errors.Is(err, os.ErrDeadlineExceeded) {
+		err = fmt.Errorf("%w: %v", ErrNotV3, err)
 	}
-	c.lim.n = 0
-	var fb frameBody
-	if err := c.dec.Decode(&fb); err != nil {
-		if err == io.EOF {
-			return Frame{}, err // passes through for clean shutdown
-		}
-		return Frame{}, fmt.Errorf("netproto: decode frame: %w", err)
-	}
-	return Frame{Type: fb.Type, RequestID: fb.RequestID, Body: fb.Body}, nil
+	return f, err
 }
 
-// recvV3 reads one binary frame into the per-connection scratch buffer
-// and decodes it; the decoded frame owns all of its memory, so callers
-// may hold it across later Recvs.
-func (c *Conn) recvV3() (Frame, error) {
+func (c *Conn) recv(limit uint32) (Frame, error) {
 	var hdr [4]byte
-	if _, err := io.ReadFull(c.lim.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
 		if err == io.EOF {
 			return Frame{}, err // clean shutdown between frames
 		}
 		return Frame{}, fmt.Errorf("netproto: read frame header: %w", err)
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > MaxFrame {
-		return Frame{}, fmt.Errorf("netproto: oversized frame (%d bytes, max %d)", n, MaxFrame)
+	if n == 0 || n > limit {
+		return Frame{}, fmt.Errorf("netproto: oversized frame (%d bytes, max %d)", n, limit)
 	}
 	if cap(c.recvBuf) < int(n) {
 		c.recvBuf = make([]byte, n)
 	}
 	buf := c.recvBuf[:n]
-	if _, err := io.ReadFull(c.lim.r, buf); err != nil {
+	if _, err := io.ReadFull(c.br, buf); err != nil {
 		return Frame{}, fmt.Errorf("netproto: read frame body: %w", err)
 	}
 	d := decBuf{b: buf}
@@ -874,55 +795,11 @@ func (c *Conn) recvV3() (Frame, error) {
 	if d.err != nil {
 		return Frame{}, d.err
 	}
-	body, err := decodeBodyV3(&d, t)
+	body, err := decodeBody(&d, t)
 	if err != nil {
 		return Frame{}, err
 	}
 	return Frame{Type: t, RequestID: reqID, Body: body}, nil
-}
-
-// frameBody is the gob-encoded frame content. gob tolerates the
-// RequestID field being absent on the wire (v1 peers), decoding it as
-// zero, so the two versions share one frame format.
-type frameBody struct {
-	Type      MsgType
-	RequestID uint64
-	Body      any
-}
-
-// limitReader bounds how many bytes a single Recv may consume,
-// catching stream corruption (a garbage length would otherwise make
-// gob allocate without limit) before it allocates. It implements
-// io.ByteReader so gob uses it directly — otherwise gob wraps it in
-// its own bufio.Reader whose read-ahead past the message boundary
-// would be mischarged to the current frame.
-type limitReader struct {
-	r *bufio.Reader
-	n int
-}
-
-func (l *limitReader) Read(p []byte) (int, error) {
-	remaining := MaxFrame - l.n
-	if remaining <= 0 {
-		return 0, fmt.Errorf("netproto: oversized frame (>%d bytes)", MaxFrame)
-	}
-	if len(p) > remaining {
-		p = p[:remaining]
-	}
-	n, err := l.r.Read(p)
-	l.n += n
-	return n, err
-}
-
-func (l *limitReader) ReadByte() (byte, error) {
-	if l.n >= MaxFrame {
-		return 0, fmt.Errorf("netproto: oversized frame (>%d bytes)", MaxFrame)
-	}
-	b, err := l.r.ReadByte()
-	if err == nil {
-		l.n++
-	}
-	return b, err
 }
 
 // MakePayload builds a deterministic pseudo-payload of the scaled size

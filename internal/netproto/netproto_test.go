@@ -2,9 +2,10 @@ package netproto
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -125,24 +126,14 @@ func TestMakePayloadDeterministic(t *testing.T) {
 }
 
 func TestRecvRejectsOversizedFrame(t *testing.T) {
-	// Build a legitimate gob stream whose single frame exceeds
-	// MaxFrame; Recv must abort rather than buffer it all.
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	type frameBody struct { // mirrors the wire struct
-		Type      MsgType
-		RequestID uint64
-		Body      any
-	}
-	huge := frameBody{Type: MsgObjectData, Body: ObjectDataMsg{
-		Payload: make([]byte, MaxFrame+1),
-	}}
-	if err := enc.Encode(&huge); err != nil {
-		t.Fatal(err)
-	}
-	conn := NewConn(readWriter{&buf})
-	if _, err := conn.Recv(); err == nil {
-		t.Error("oversized frame accepted")
+	// A v3 length prefix announcing MaxFrame+1 bytes: Recv must abort
+	// on the header rather than buffer the body.
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], MaxFrame+1)
+	stream := append(hdr[:], make([]byte, 1<<10)...)
+	conn := NewConn(readWriter{bytes.NewReader(stream)})
+	if _, err := conn.Recv(); err == nil || !strings.Contains(err.Error(), "oversized frame") {
+		t.Errorf("oversized frame: Recv = %v, want an oversized-frame error", err)
 	}
 }
 

@@ -27,12 +27,9 @@ type SessionConfig struct {
 	// pool mainly spreads encode/flush work; small values (2–4)
 	// suffice. Defaults to 1.
 	PoolSize int
-	// DialTimeout bounds each connection attempt. Defaults to 5s.
+	// DialTimeout bounds each connection attempt and its handshake.
+	// Defaults to 5s.
 	DialTimeout time.Duration
-	// Lockstep forces protocol v1: one outstanding request per
-	// connection, replies in order, no handshake ack. Use it to talk
-	// to pre-v2 servers.
-	Lockstep bool
 	// DialRetry, when positive, keeps retrying a refused connection
 	// for up to this total elapsed time with capped exponential
 	// backoff and jitter. Connection-refused is the transient race of
@@ -41,21 +38,17 @@ type SessionConfig struct {
 	// (no route, timeout, DNS) still fail immediately. Zero disables
 	// retrying.
 	DialRetry time.Duration
-	// WireVersion caps the protocol version the session announces in
-	// its handshake, and therefore the stream codec it ends up on: 0
-	// means the newest (v3, binary framing), ProtoV2 forces the gob v2
-	// codec — the escape hatch for talking to peers pinned at v2.
-	// Lockstep overrides this entirely (v1 semantics, gob framing).
-	WireVersion int
 }
 
-// Session is a concurrency-safe request/response channel to a Delta
-// node. In v2 mode (the default) it multiplexes: every request gets a
-// fresh RequestID, requests round-robin across a small connection
-// pool, a per-connection reader goroutine demultiplexes replies by
-// RequestID, and any number of goroutines may call RoundTrip
-// concurrently. In lockstep mode it serializes round trips per
-// connection for v1 peers.
+// defaultDialTimeout bounds a connection attempt and its handshake
+// when the caller sets no timeout.
+const defaultDialTimeout = 5 * time.Second
+
+// Session is a concurrency-safe, multiplexed request/response channel
+// to a Delta node: every request gets a fresh RequestID, requests
+// round-robin across a small connection pool, a per-connection reader
+// goroutine demultiplexes replies by RequestID, and any number of
+// goroutines may call RoundTrip concurrently.
 type Session struct {
 	cfg   SessionConfig
 	conns []*sessionConn
@@ -68,11 +61,8 @@ type Session struct {
 
 // sessionConn is one pooled connection with its demux state.
 type sessionConn struct {
-	nc      net.Conn
-	c       *Conn
-	version int // negotiated protocol version (set during the handshake)
-
-	lockMu sync.Mutex // lockstep mode: serializes send+recv pairs
+	nc net.Conn
+	c  *Conn
 
 	mu      sync.Mutex
 	pending map[uint64]chan roundTripResult
@@ -86,14 +76,14 @@ type roundTripResult struct {
 }
 
 // DialSession connects a multiplexed session to addr, announcing the
-// given role ("cache" or "client"). In v2 mode every pooled connection
-// performs the Hello/HelloAck handshake before the session is usable.
+// given role ("cache" or "client"). Every pooled connection performs
+// the Hello/HelloAck handshake before the session is usable.
 func DialSession(addr, role string, cfg SessionConfig) (*Session, error) {
 	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = 1
 	}
 	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
+		cfg.DialTimeout = defaultDialTimeout
 	}
 	s := &Session{cfg: cfg}
 	for i := 0; i < cfg.PoolSize; i++ {
@@ -103,9 +93,7 @@ func DialSession(addr, role string, cfg SessionConfig) (*Session, error) {
 			return nil, err
 		}
 		s.conns = append(s.conns, sc)
-		if !cfg.Lockstep {
-			go sc.readLoop()
-		}
+		go sc.readLoop()
 	}
 	return s, nil
 }
@@ -142,56 +130,12 @@ func dialSessionConn(addr, role string, cfg SessionConfig) (*sessionConn, error)
 	if err != nil {
 		return nil, fmt.Errorf("netproto: dial %s: %w", addr, err)
 	}
-	sc := &sessionConn{
-		nc:      nc,
-		c:       NewConn(nc),
-		version: ProtoV1,
-		pending: make(map[uint64]chan roundTripResult),
-	}
-	hello := Hello{Role: role}
-	if !cfg.Lockstep {
-		hello.Version = ProtoV3
-		if cfg.WireVersion > 0 && cfg.WireVersion < hello.Version {
-			hello.Version = max(cfg.WireVersion, ProtoV2)
-		}
-	}
-	if err := sc.c.Send(Frame{Type: MsgHello, Body: hello}); err != nil {
+	c, err := Handshake(nc, role, cfg.DialTimeout)
+	if err != nil {
 		nc.Close()
-		return nil, fmt.Errorf("netproto: hello: %w", err)
+		return nil, err
 	}
-	if !cfg.Lockstep {
-		// v2+ servers acknowledge before any request flows; a v1 server
-		// would stay silent here, so pre-v2 peers need Lockstep.
-		if err := nc.SetReadDeadline(time.Now().Add(cfg.DialTimeout)); err != nil {
-			nc.Close()
-			return nil, err
-		}
-		ack, err := sc.c.Recv()
-		if err != nil {
-			nc.Close()
-			return nil, fmt.Errorf("netproto: handshake (is the server pre-v2? use Lockstep): %w", err)
-		}
-		body, ok := ack.Body.(HelloAck)
-		if !ok || ack.Type != MsgHelloAck {
-			nc.Close()
-			return nil, fmt.Errorf("netproto: expected hello-ack, got %s", ack.Type)
-		}
-		if body.Version < ProtoV2 {
-			nc.Close()
-			return nil, fmt.Errorf("netproto: server negotiated v%d, need v%d", body.Version, ProtoV2)
-		}
-		sc.version = body.Version
-		if body.Version >= ProtoV3 {
-			// Both ends switch codecs at the same stream position:
-			// immediately after the HelloAck.
-			sc.c.SetVersion(ProtoV3)
-		}
-		if err := nc.SetReadDeadline(time.Time{}); err != nil {
-			nc.Close()
-			return nil, err
-		}
-	}
-	return sc, nil
+	return &sessionConn{nc: nc, c: c, pending: make(map[uint64]chan roundTripResult)}, nil
 }
 
 // readLoop demultiplexes replies by RequestID. Replies with no waiter
@@ -233,9 +177,6 @@ func (s *Session) RoundTrip(ctx context.Context, f Frame) (Frame, error) {
 	if s.closed.Load() {
 		return Frame{}, net.ErrClosed
 	}
-	if s.cfg.Lockstep {
-		return s.roundTripLockstep(ctx, f)
-	}
 	sc := s.pick()
 	if sc == nil {
 		return Frame{}, fmt.Errorf("netproto: session has no live connections")
@@ -252,10 +193,9 @@ func (s *Session) RoundTrip(ctx context.Context, f Frame) (Frame, error) {
 	sc.pending[id] = ch
 	sc.mu.Unlock()
 	if err := sc.c.Send(f); err != nil {
-		// A send failure means the write side is broken (I/O error or
-		// a poisoned encoder); stop routing new requests here. The
-		// read side keeps draining replies for requests already in
-		// flight until it fails on its own.
+		// A send failure means the write side is broken; stop routing
+		// new requests here. The read side keeps draining replies for
+		// requests already in flight until it fails on its own.
 		sc.mu.Lock()
 		delete(sc.pending, id)
 		sc.dead = true
@@ -277,50 +217,6 @@ func (s *Session) RoundTrip(ctx context.Context, f Frame) (Frame, error) {
 		sc.mu.Unlock()
 		return Frame{}, ctx.Err()
 	}
-}
-
-// roundTripLockstep performs a v1 send+recv pair under the per-conn
-// lock. A context deadline is enforced via the socket deadline — a v1
-// stream cannot abandon a reply without desynchronizing, so expiry
-// retires the connection rather than just the request.
-func (s *Session) roundTripLockstep(ctx context.Context, f Frame) (Frame, error) {
-	if err := ctx.Err(); err != nil {
-		return Frame{}, err
-	}
-	sc := s.pick()
-	if sc == nil {
-		return Frame{}, fmt.Errorf("netproto: session has no live connections")
-	}
-	sc.lockMu.Lock()
-	defer sc.lockMu.Unlock()
-	if dl, ok := ctx.Deadline(); ok {
-		if err := sc.nc.SetDeadline(dl); err != nil {
-			return Frame{}, err
-		}
-		defer sc.nc.SetDeadline(time.Time{})
-	}
-	f.RequestID = 0
-	if err := sc.c.Send(f); err != nil {
-		sc.markDead(err)
-		return Frame{}, err
-	}
-	reply, err := sc.c.Recv()
-	if err != nil {
-		// Any transport error (including deadline expiry)
-		// desynchronizes a lockstep stream; retire the connection.
-		sc.markDead(err)
-		return Frame{}, err
-	}
-	return checkError(reply)
-}
-
-func (sc *sessionConn) markDead(err error) {
-	sc.mu.Lock()
-	sc.dead = true
-	if sc.err == nil {
-		sc.err = err
-	}
-	sc.mu.Unlock()
 }
 
 func checkError(f Frame) (Frame, error) {
@@ -347,17 +243,6 @@ func (s *Session) pick() *sessionConn {
 		}
 	}
 	return nil
-}
-
-// WireVersion reports the protocol version the session negotiated:
-// ProtoV3 on the binary codec, ProtoV2 on gob multiplexing, ProtoV1
-// for lockstep sessions. Every pooled connection negotiates against
-// the same server, so the first connection's answer stands for all.
-func (s *Session) WireVersion() int {
-	if len(s.conns) == 0 {
-		return 0
-	}
-	return s.conns[0].version
 }
 
 // Live reports whether the session still has at least one usable

@@ -13,10 +13,10 @@ import (
 	"github.com/deltacache/delta/internal/model"
 )
 
-// startV2Server runs a minimal v2 request server: it acknowledges
-// hellos and answers each QueryMsg via reply (possibly out of order),
-// echoing RequestIDs.
-func startV2Server(t *testing.T, reply func(f Frame, c *Conn)) string {
+// startServer runs a minimal request server: it completes the
+// handshake and answers each QueryMsg via reply (possibly out of
+// order), echoing RequestIDs.
+func startServer(t *testing.T, reply func(f Frame, c *Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -32,19 +32,8 @@ func startV2Server(t *testing.T, reply func(f Frame, c *Conn)) string {
 			go func() {
 				defer conn.Close()
 				c := NewConn(conn)
-				first, err := c.Recv()
-				if err != nil {
+				if _, err := ServeHandshake(c); err != nil {
 					return
-				}
-				hello, ok := first.Body.(Hello)
-				if !ok {
-					return
-				}
-				v2 := NegotiateVersion(hello.Version) >= ProtoV2
-				if v2 {
-					if err := c.Send(Frame{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV2}}); err != nil {
-						return
-					}
 				}
 				for {
 					f, err := c.Recv()
@@ -69,7 +58,7 @@ func echoQuery(f Frame, c *Conn) {
 }
 
 func TestSessionRoundTrip(t *testing.T) {
-	addr := startV2Server(t, echoQuery)
+	addr := startServer(t, echoQuery)
 	s, err := DialSession(addr, "client", SessionConfig{PoolSize: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +86,7 @@ func TestSessionDemuxOutOfOrder(t *testing.T) {
 		mu       sync.Mutex
 		deferred []Frame
 	)
-	addr := startV2Server(t, func(f Frame, c *Conn) {
+	addr := startServer(t, func(f Frame, c *Conn) {
 		q := f.Body.(QueryMsg).Query
 		out := Frame{
 			Type:      MsgQueryResult,
@@ -150,118 +139,10 @@ func TestSessionDemuxOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestHandshakeV1V2Compat covers the version matrix: a v2 session
-// against a v2 server negotiates and multiplexes; a lockstep (v1)
-// session against the same server is served in order with no ack; and
-// a v1 server (never acks) is usable through a lockstep session.
-func TestHandshakeV1V2Compat(t *testing.T) {
-	addr := startV2Server(t, echoQuery)
-
-	t.Run("v2-client-v2-server", func(t *testing.T) {
-		s, err := DialSession(addr, "client", SessionConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if _, err := s.RoundTrip(context.Background(), Frame{Type: MsgQuery, Body: QueryMsg{
-			Query: model.Query{ID: 5, Objects: []model.ObjectID{1}, Cost: 5},
-		}}); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("v1-client-v2-server", func(t *testing.T) {
-		s, err := DialSession(addr, "client", SessionConfig{Lockstep: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		reply, err := s.RoundTrip(context.Background(), Frame{Type: MsgQuery, Body: QueryMsg{
-			Query: model.Query{ID: 6, Objects: []model.ObjectID{1}, Cost: 6},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reply.RequestID != 0 {
-			t.Errorf("v1 reply carries RequestID %d, want 0", reply.RequestID)
-		}
-	})
-
-	t.Run("v1-server-lockstep-client", func(t *testing.T) {
-		// A v1 server: reads hellos and serves queries lockstep,
-		// never sending an ack and ignoring RequestIDs.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			c := NewConn(conn)
-			if _, err := c.Recv(); err != nil { // hello, unacked
-				return
-			}
-			for {
-				f, err := c.Recv()
-				if err != nil {
-					return
-				}
-				q := f.Body.(QueryMsg).Query
-				_ = c.Send(Frame{Type: MsgQueryResult, Body: QueryResultMsg{
-					QueryID: q.ID, Logical: q.Cost, Source: "v1",
-				}})
-			}
-		}()
-		s, err := DialSession(ln.Addr().String(), "client", SessionConfig{Lockstep: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		reply, err := s.RoundTrip(context.Background(), Frame{Type: MsgQuery, Body: QueryMsg{
-			Query: model.Query{ID: 7, Objects: []model.ObjectID{1}, Cost: 7},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res := reply.Body.(QueryResultMsg); res.Source != "v1" || res.QueryID != 7 {
-			t.Fatalf("reply = %+v", res)
-		}
-	})
-
-	t.Run("v2-client-v1-server-fails-fast", func(t *testing.T) {
-		// A silent v1 server must produce a handshake error, not a
-		// hang.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			c := NewConn(conn)
-			_, _ = c.Recv() // swallow the hello, never ack
-			select {}
-		}()
-		if _, err := DialSession(ln.Addr().String(), "client", SessionConfig{
-			DialTimeout: 200 * time.Millisecond,
-		}); err == nil {
-			t.Fatal("v2 dial against a silent v1 server should fail the handshake")
-		}
-	})
-}
-
 // TestSessionConcurrentRoundTrips hammers one session from many
 // goroutines; every reply must match its request.
 func TestSessionConcurrentRoundTrips(t *testing.T) {
-	addr := startV2Server(t, echoQuery)
+	addr := startServer(t, echoQuery)
 	s, err := DialSession(addr, "client", SessionConfig{PoolSize: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -311,9 +192,7 @@ func TestSessionFailsPendingOnDisconnect(t *testing.T) {
 		if err != nil {
 			return
 		}
-		c := NewConn(conn)
-		_, _ = c.Recv()
-		_ = c.Send(Frame{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV2}})
+		_, _ = ServeHandshake(NewConn(conn))
 		accepted <- conn
 	}()
 	s, err := DialSession(ln.Addr().String(), "client", SessionConfig{})
@@ -368,10 +247,9 @@ func TestSessionPoolExhaustedUnderCancellation(t *testing.T) {
 			connMu.Unlock()
 			go func() {
 				c := NewConn(conn)
-				if _, err := c.Recv(); err != nil { // hello
+				if _, err := ServeHandshake(c); err != nil {
 					return
 				}
-				_ = c.Send(Frame{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV2}})
 				for { // swallow requests, never reply
 					if _, err := c.Recv(); err != nil {
 						return
@@ -489,11 +367,7 @@ func TestDialRetryRidesOutStartupRace(t *testing.T) {
 		if err != nil {
 			return
 		}
-		c := NewConn(conn)
-		if _, err := c.Recv(); err != nil {
-			return
-		}
-		_ = c.Send(Frame{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV2}})
+		_, _ = ServeHandshake(NewConn(conn))
 	}()
 	s, err := DialSession(addr, "client", SessionConfig{DialRetry: 5 * time.Second})
 	if err != nil {

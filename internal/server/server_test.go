@@ -74,8 +74,8 @@ func TestRequestResponsesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	c := netproto.NewConn(nc)
-	if err := c.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: "cache"}}); err != nil {
+	c, err := netproto.Handshake(nc, "cache", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -196,8 +196,7 @@ func TestInvalidationBroadcastNonBlocking(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := netproto.NewConn(nc)
-	if err := c.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: "invalidations"}}); err != nil {
+	if _, err := netproto.Handshake(nc, "invalidations", 0); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the server to register the subscription: the push below
@@ -241,8 +240,8 @@ func TestInvalidationBroadcastNonBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sc.Close()
-	cc := netproto.NewConn(sc)
-	if err := cc.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: "cache"}}); err != nil {
+	cc, err := netproto.Handshake(sc, "cache", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := cc.Send(netproto.Frame{Type: netproto.MsgStats, Body: netproto.StatsMsg{}}); err != nil {
@@ -275,8 +274,8 @@ func TestAddObjectsIngestAndAnnounce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	c := netproto.NewConn(nc)
-	if err := c.Send(netproto.Frame{Type: netproto.MsgHello, Body: netproto.Hello{Role: "invalidations"}}); err != nil {
+	c, err := netproto.Handshake(nc, "invalidations", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	regDeadline := time.Now().Add(5 * time.Second)
