@@ -258,18 +258,17 @@ func printRebalance(st *netproto.RebalanceStatusMsg) {
 }
 
 func printStats(st *netproto.StatsMsg) {
-	fmt.Printf("policy=%s queries=%d atCache=%d shipped=%d\n",
-		st.Policy, st.Queries, st.AtCache, st.Shipped)
-	fmt.Printf("traffic: query-ship=%v update-ship=%v loads=%v total=%v\n",
-		st.Ledger.QueryShip, st.Ledger.UpdateShip, st.Ledger.ObjectLoad, st.Ledger.Total())
-	fmt.Printf("health: dropped-invalidations=%d singleflight-deduped-loads=%d migrated-in=%d migrated-out=%d objects-born=%d\n",
-		st.DroppedInvalidations, st.DedupedLoads, st.MigratedIn, st.MigratedOut, st.ObjectsBorn)
-	fmt.Printf("cover cache: hits=%d misses=%d\n", st.CoverCacheHits, st.CoverCacheMisses)
-	fmt.Printf("result cache: hits=%d misses=%d coalesced=%d grant-batches=%d\n",
-		st.ResultCacheHits, st.ResultCacheMisses, st.CoalescedQueries, st.GrantBatches)
-	fmt.Printf("persistence: snapshot-age=%v journal-records=%d recovered-warm=%d\n",
-		st.SnapshotAge.Round(time.Millisecond), st.JournalRecords, st.RecoveredWarm)
-	fmt.Printf("replication: K=%d\n", max(st.Replicas, 1))
+	fmt.Printf("policy=%s traffic=%v\n", st.Policy, st.Ledger.Total())
+	for _, f := range netproto.StatFields {
+		var v any = *f.Of(st)
+		switch f.Unit {
+		case netproto.UnitBytes:
+			v = cost.Bytes(*f.Of(st))
+		case netproto.UnitDuration:
+			v = time.Duration(*f.Of(st)).Round(time.Millisecond)
+		}
+		fmt.Printf("  %-22s %v\n", f.Name, v)
+	}
 	fmt.Printf("cached objects: %v\n", st.Cached)
 }
 

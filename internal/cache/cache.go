@@ -40,6 +40,10 @@ import (
 	"github.com/deltacache/delta/internal/persist"
 )
 
+// repoDialRetry is how long New retries a refused repository
+// connection with backoff (a cache often starts alongside it).
+const repoDialRetry = 5 * time.Second
+
 // Config parameterizes the middleware.
 type Config struct {
 	// Addr is the client-facing listen address.
@@ -49,10 +53,6 @@ type Config struct {
 	// RepoPool is how many connections back the repository session
 	// (each one multiplexes; 0 means a small default).
 	RepoPool int
-	// RepoDialRetry keeps retrying a refused repository connection
-	// for this long with backoff (a cache often starts alongside its
-	// repository). Zero means a 5s default; negative disables.
-	RepoDialRetry time.Duration
 	// Policy decides; nil defaults to VCover (built via PolicyFactory
 	// when that is set).
 	Policy core.Policy
@@ -387,13 +387,9 @@ func New(cfg Config) (*Middleware, error) {
 	}
 
 	// Multiplexed request/response session to the repository.
-	retry := cfg.RepoDialRetry
-	if retry == 0 {
-		retry = 5 * time.Second
-	}
 	sess, err := netproto.DialSession(cfg.RepoAddr, "cache", netproto.SessionConfig{
 		PoolSize:  cfg.RepoPool,
-		DialRetry: max(retry, 0),
+		DialRetry: repoDialRetry,
 	})
 	if err != nil {
 		m.closeStore()

@@ -237,7 +237,7 @@ func (r *Router) Resize(ctx context.Context, spec ResizeSpec) (netproto.Rebalanc
 				for _, dst := range addrs {
 					ids := dests[dst]
 					slices.Sort(ids)
-					ctx, cancel := context.WithTimeout(ctx, r.cfg.MigrateTimeout)
+					ctx, cancel := context.WithTimeout(ctx, migrateTimeout)
 					reply, err := src.sess.RoundTrip(ctx, netproto.Frame{
 						Type: netproto.MsgMigrateBegin,
 						Body: netproto.MigrateBeginMsg{Epoch: epoch, Dest: dst, Objects: ids},
@@ -320,7 +320,7 @@ func (r *Router) reshardAll(ctx context.Context, epoch int, own *Ownership, targ
 		wg.Add(1)
 		go func(i int, link *shardLink, owned []model.ObjectID) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
+			ctx, cancel := context.WithTimeout(ctx, shardTimeout)
 			defer cancel()
 			reply, err := link.sess.RoundTrip(ctx, netproto.Frame{
 				Type: netproto.MsgReshard,

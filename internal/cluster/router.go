@@ -18,6 +18,19 @@ import (
 	"github.com/deltacache/delta/internal/obs"
 )
 
+const (
+	// shardTimeout bounds each shard round trip. Without it a wedged
+	// — alive but unresponsive — shard would hang queries forever
+	// instead of degrading them (Session only fails on connection
+	// death).
+	shardTimeout = 30 * time.Second
+	// statsTimeout bounds each shard's stats probe.
+	statsTimeout = 5 * time.Second
+	// migrateTimeout bounds one source shard's whole outbound
+	// migration stream during a resize (it can move many objects).
+	migrateTimeout = 2 * time.Minute
+)
+
 // Config parameterizes a Router.
 type Config struct {
 	// Addr is the client-facing listen address.
@@ -47,17 +60,6 @@ type Config struct {
 	// long (a router typically starts alongside its shards). Defaults
 	// to 2s; negative disables.
 	DialRetry time.Duration
-	// ShardTimeout bounds each shard round trip. Without it a wedged
-	// — alive but unresponsive — shard would hang queries forever
-	// instead of degrading them (Session only fails on connection
-	// death). Defaults to 30s.
-	ShardTimeout time.Duration
-	// StatsTimeout bounds each shard's stats probe. Defaults to 5s.
-	StatsTimeout time.Duration
-	// MigrateTimeout bounds one source shard's whole outbound
-	// migration stream during a resize (it can move many objects).
-	// Defaults to 2m.
-	MigrateTimeout time.Duration
 	// Resolver maps a sky cap to the object IDs whose partitions may
 	// intersect it (typically catalog.Survey.CoverCap). When set,
 	// client queries arriving with a SkyRegion instead of an object
@@ -229,15 +231,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	if cfg.DialRetry == 0 {
 		cfg.DialRetry = 2 * time.Second
-	}
-	if cfg.ShardTimeout <= 0 {
-		cfg.ShardTimeout = 30 * time.Second
-	}
-	if cfg.StatsTimeout <= 0 {
-		cfg.StatsTimeout = 5 * time.Second
-	}
-	if cfg.MigrateTimeout <= 0 {
-		cfg.MigrateTimeout = 2 * time.Minute
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -832,7 +825,7 @@ func (r *Router) scatterQuery(ctx context.Context, q *model.Query, traceID uint6
 // round trips feed the fragment-latency histogram the hedge delay is
 // derived from.
 func (r *Router) shardRoundTrip(ctx context.Context, fr fragment) (netproto.QueryResultMsg, error) {
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
+	ctx, cancel := context.WithTimeout(ctx, shardTimeout)
 	defer cancel()
 	start := time.Now()
 	reply, err := fr.link.sess.RoundTrip(ctx, netproto.Frame{
@@ -1109,7 +1102,7 @@ func (r *Router) clusterStats(ctx context.Context) netproto.ClusterStatsMsg {
 			st := &out.Shards[i]
 			st.Shard = s.index
 			st.Addr = s.addr
-			ctx, cancel := context.WithTimeout(ctx, r.cfg.StatsTimeout)
+			ctx, cancel := context.WithTimeout(ctx, statsTimeout)
 			defer cancel()
 			reply, err := s.sess.RoundTrip(ctx, netproto.Frame{
 				Type: netproto.MsgStats, Body: netproto.StatsMsg{},
@@ -1134,30 +1127,7 @@ func (r *Router) clusterStats(ctx context.Context) netproto.ClusterStatsMsg {
 			continue
 		}
 		agg := &out.Aggregate
-		agg.Ledger.QueryShip += st.Stats.Ledger.QueryShip
-		agg.Ledger.UpdateShip += st.Stats.Ledger.UpdateShip
-		agg.Ledger.ObjectLoad += st.Stats.Ledger.ObjectLoad
-		agg.Ledger.QueryShips += st.Stats.Ledger.QueryShips
-		agg.Ledger.UpdateShips += st.Stats.Ledger.UpdateShips
-		agg.Ledger.ObjectLoads += st.Stats.Ledger.ObjectLoads
-		agg.Queries += st.Stats.Queries
-		agg.AtCache += st.Stats.AtCache
-		agg.Shipped += st.Stats.Shipped
-		agg.DroppedInvalidations += st.Stats.DroppedInvalidations
-		agg.DedupedLoads += st.Stats.DedupedLoads
-		agg.MigratedIn += st.Stats.MigratedIn
-		agg.MigratedOut += st.Stats.MigratedOut
-		agg.ObjectsBorn += st.Stats.ObjectsBorn
-		agg.CoverCacheHits += st.Stats.CoverCacheHits
-		agg.CoverCacheMisses += st.Stats.CoverCacheMisses
-		agg.JournalRecords += st.Stats.JournalRecords
-		agg.RecoveredWarm += st.Stats.RecoveredWarm
-		// The cluster's replication factor, not a sum: every shard of a
-		// consistent deployment reports the same K.
-		agg.Replicas = max(agg.Replicas, st.Stats.Replicas)
-		// The aggregate snapshot age is the oldest shard's: it bounds
-		// how much journal any crash in the cluster would replay.
-		agg.SnapshotAge = max(agg.SnapshotAge, st.Stats.SnapshotAge)
+		agg.Merge(&st.Stats)
 		agg.Cached = append(agg.Cached, st.Stats.Cached...)
 		if agg.Policy == "" && st.Stats.Policy != "" {
 			agg.Policy = fmt.Sprintf("cluster(%s×%d)", st.Stats.Policy, len(rt.links))

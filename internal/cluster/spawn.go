@@ -55,8 +55,6 @@ type LocalConfig struct {
 	Clock clock.Clock
 	// RepoPool is each shard's repository session pool size.
 	RepoPool int
-	// RouterPool is the router's per-shard session pool size.
-	RouterPool int
 	// ResultCacheSize bounds the router's result cache + coalescer
 	// (see cluster.Config.ResultCacheSize: 0 = default, negative
 	// disables; only effective with a RepoAddr).
@@ -123,7 +121,6 @@ func SpawnLocal(cfg LocalConfig) (*LocalCluster, error) {
 		Shards:          addrs,
 		Ownership:       own,
 		RepoAddr:        cfg.RepoAddr,
-		ShardPool:       cfg.RouterPool,
 		ResultCacheSize: cfg.ResultCacheSize,
 		Resolver:        cfg.Resolver,
 		ResolverGrow:    cfg.ResolverGrow,

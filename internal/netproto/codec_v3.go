@@ -287,63 +287,29 @@ func decObjectIDs(d *decBuf) []model.ObjectID {
 	return ids
 }
 
+// statsLedgerRows is how many leading StatFields rows (the cost
+// ledger) precede Cached and Policy in a stats body.
+const statsLedgerRows = 6
+
 func encStats(e *encBuf, s *StatsMsg) {
-	e.varint(int64(s.Ledger.QueryShip))
-	e.varint(int64(s.Ledger.UpdateShip))
-	e.varint(int64(s.Ledger.ObjectLoad))
-	e.varint(s.Ledger.QueryShips)
-	e.varint(s.Ledger.UpdateShips)
-	e.varint(s.Ledger.ObjectLoads)
-	encObjectIDs(e, s.Cached)
-	e.str(s.Policy)
-	e.varint(s.Queries)
-	e.varint(s.AtCache)
-	e.varint(s.Shipped)
-	e.varint(s.DroppedInvalidations)
-	e.varint(s.DedupedLoads)
-	e.varint(s.MigratedIn)
-	e.varint(s.MigratedOut)
-	e.varint(s.ObjectsBorn)
-	e.varint(s.CoverCacheHits)
-	e.varint(s.CoverCacheMisses)
-	e.varint(int64(s.SnapshotAge))
-	e.varint(s.JournalRecords)
-	e.varint(s.RecoveredWarm)
-	e.varint(s.Replicas)
-	e.varint(s.ResultCacheHits)
-	e.varint(s.ResultCacheMisses)
-	e.varint(s.CoalescedQueries)
-	e.varint(s.GrantBatches)
+	for i, f := range StatFields {
+		if i == statsLedgerRows {
+			encObjectIDs(e, s.Cached)
+			e.str(s.Policy)
+		}
+		e.varint(*f.Of(s))
+	}
 }
 
 func decStats(d *decBuf) StatsMsg {
 	var s StatsMsg
-	s.Ledger.QueryShip = cost.Bytes(d.varint())
-	s.Ledger.UpdateShip = cost.Bytes(d.varint())
-	s.Ledger.ObjectLoad = cost.Bytes(d.varint())
-	s.Ledger.QueryShips = d.varint()
-	s.Ledger.UpdateShips = d.varint()
-	s.Ledger.ObjectLoads = d.varint()
-	s.Cached = decObjectIDs(d)
-	s.Policy = d.str()
-	s.Queries = d.varint()
-	s.AtCache = d.varint()
-	s.Shipped = d.varint()
-	s.DroppedInvalidations = d.varint()
-	s.DedupedLoads = d.varint()
-	s.MigratedIn = d.varint()
-	s.MigratedOut = d.varint()
-	s.ObjectsBorn = d.varint()
-	s.CoverCacheHits = d.varint()
-	s.CoverCacheMisses = d.varint()
-	s.SnapshotAge = time.Duration(d.varint())
-	s.JournalRecords = d.varint()
-	s.RecoveredWarm = d.varint()
-	s.Replicas = d.varint()
-	s.ResultCacheHits = d.varint()
-	s.ResultCacheMisses = d.varint()
-	s.CoalescedQueries = d.varint()
-	s.GrantBatches = d.varint()
+	for i, f := range StatFields {
+		if i == statsLedgerRows {
+			s.Cached = decObjectIDs(d)
+			s.Policy = d.str()
+		}
+		*f.Of(&s) = d.varint()
+	}
 	return s
 }
 

@@ -62,12 +62,22 @@ var (
 )
 
 // ServeHandshake completes the accept side of the handshake on a fresh
-// connection: it reads the peer's Hello, checks that it announces
-// ProtoV3, and answers with a HelloAck. A Hello announcing any other
-// version is answered with a MsgError naming the v3 requirement; a
-// first frame that is not v3 framing at all fails with ErrNotV3. On
-// error the caller closes the connection.
+// connection: ReadHello, then AckHello. On error the caller closes it.
 func ServeHandshake(c *Conn) (Hello, error) {
+	hello, err := ReadHello(c)
+	if err != nil {
+		return Hello{}, err
+	}
+	return hello, AckHello(c)
+}
+
+// ReadHello reads the peer's Hello and checks that it announces
+// ProtoV3. A Hello announcing any other version is answered with a
+// MsgError naming the v3 requirement; a first frame that is not v3
+// framing at all fails with ErrNotV3. The dialer's Handshake returns
+// only once AckHello runs, so an acceptor that must finish setup
+// before the peer proceeds does it between the two calls.
+func ReadHello(c *Conn) (Hello, error) {
 	first, err := c.recvHandshake()
 	if err != nil {
 		return Hello{}, err
@@ -83,7 +93,12 @@ func ServeHandshake(c *Conn) (Hello, error) {
 		_ = c.Send(Frame{Type: MsgError, Body: ErrorMsg{Message: err.Error()}})
 		return Hello{}, err
 	}
-	return hello, c.Send(Frame{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV3}})
+	return hello, nil
+}
+
+// AckHello answers an accepted Hello.
+func AckHello(c *Conn) error {
+	return c.Send(Frame{Type: MsgHelloAck, Body: HelloAck{Version: ProtoV3}})
 }
 
 // Handshake completes the dial side of the handshake on a fresh
@@ -433,7 +448,8 @@ type InvalidateMsg struct {
 	Update model.Update
 }
 
-// StatsMsg carries a ledger snapshot.
+// StatsMsg carries a ledger snapshot. Each int64-kinded field has one
+// StatFields row.
 type StatsMsg struct {
 	Ledger  cost.Snapshot
 	Cached  []model.ObjectID
@@ -472,7 +488,7 @@ type StatsMsg struct {
 	// journal covers everything since.
 	SnapshotAge time.Duration
 	// JournalRecords counts records appended to the durability journal
-	// since the last snapshot (bounds what a crash right now replays).
+	// since the node's store opened; a snapshot does not reset it.
 	JournalRecords int64
 	// RecoveredWarm counts residents the node re-adopted from disk at
 	// its last startup (via the policy's Warm carry-over boundary);
@@ -495,6 +511,103 @@ type StatsMsg struct {
 	// GrantBatches counts batched birth-grant frames (MsgBirthGrant)
 	// the router shipped to shards; each may carry many births.
 	GrantBatches int64
+}
+
+// StatKind is how /metrics exposes a stat.
+type StatKind uint8
+
+const (
+	StatCounter StatKind = iota // monotonic; the family ends in _total
+	StatGauge                   // instantaneous; no _total suffix
+)
+
+// StatUnit is what a stat's int64 holds.
+type StatUnit uint8
+
+const (
+	UnitCount    StatUnit = iota
+	UnitBytes             // a cost.Bytes
+	UnitDuration          // a time.Duration; /metrics exposes seconds
+)
+
+// StatField is one integer field of StatsMsg.
+type StatField struct {
+	// Name labels the field in delta-client -stats.
+	Name string
+	// Metric is the /metrics family; empty means not exported.
+	Metric string
+	Help   string
+	Kind   StatKind
+	Unit   StatUnit
+	// Max makes a cluster aggregate take the largest shard value
+	// instead of the sum.
+	Max bool
+	// Of returns the field's address in s.
+	Of func(s *StatsMsg) *int64
+}
+
+// StatFields lists StatsMsg's integer fields in wire order: the six
+// ledger rows, then (after Cached and Policy) the rest in declaration
+// order. Adding a stat is a struct field plus a row appended here.
+var StatFields = []StatField{
+	{"query-ship", "delta_ledger_query_ship_bytes_total", "Logical bytes charged to query shipping.",
+		StatCounter, UnitBytes, false, func(s *StatsMsg) *int64 { return (*int64)(&s.Ledger.QueryShip) }},
+	{"update-ship", "delta_ledger_update_ship_bytes_total", "Logical bytes charged to update shipping.",
+		StatCounter, UnitBytes, false, func(s *StatsMsg) *int64 { return (*int64)(&s.Ledger.UpdateShip) }},
+	{"object-load", "delta_ledger_object_load_bytes_total", "Logical bytes charged to object loading.",
+		StatCounter, UnitBytes, false, func(s *StatsMsg) *int64 { return (*int64)(&s.Ledger.ObjectLoad) }},
+	{"query-ships", "delta_ledger_query_ships_total", "Query-shipping transfers charged to the ledger.",
+		StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.Ledger.QueryShips }},
+	{"update-ships", "delta_ledger_update_ships_total", "Update-shipping transfers charged to the ledger.",
+		StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.Ledger.UpdateShips }},
+	{"object-loads", "delta_ledger_object_loads_total", "Object-load transfers charged to the ledger.",
+		StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.Ledger.ObjectLoads }},
+	{"queries", "delta_queries_total", "Queries handled by this node.",
+		StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.Queries }},
+	{"at-cache", "delta_queries_at_cache_total", "Queries answered from local cache state (hits).",
+		StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.AtCache }},
+	{"shipped", "delta_queries_shipped_total", "Queries shipped upstream to the repository.",
+		StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.Shipped }},
+	{"dropped-invalidations", "delta_dropped_invalidations_total", "Invalidation notices discarded rather than applied.",
+		StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.DroppedInvalidations }},
+	{"deduped-loads", "delta_deduped_loads_total", "Object loads collapsed into an in-flight load (singleflight).",
+		StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.DedupedLoads }},
+	{"migrated-in", "delta_migrated_in_total", "Cached objects adopted warm from sibling shards.",
+		StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.MigratedIn }},
+	{"migrated-out", "delta_migrated_out_total", "Cached objects streamed warm to sibling shards.",
+		StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.MigratedOut }},
+	{"objects-born", "delta_objects_born_total", "Newly published objects admitted into this node's universe.",
+		StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.ObjectsBorn }},
+	{"cover-cache-hits", "delta_cover_cache_hits_total", "Sky-region resolutions answered from the HTM cover cache.",
+		StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.CoverCacheHits }},
+	{"cover-cache-misses", "delta_cover_cache_misses_total", "Sky-region resolutions recomputed via partition cover.",
+		StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.CoverCacheMisses }},
+	// The oldest shard's snapshot bounds how much journal any crash in
+	// the cluster would replay.
+	{"snapshot-age", "delta_snapshot_age_seconds", "Age of the newest durability snapshot (0 when persistence is off).",
+		StatGauge, UnitDuration, true, func(s *StatsMsg) *int64 { return (*int64)(&s.SnapshotAge) }},
+	{"journal-records", "delta_journal_records_total", "Durability journal records appended since the store opened.",
+		StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.JournalRecords }},
+	{"recovered-warm", "delta_recovered_warm", "Residents re-adopted from disk at the last startup.",
+		StatGauge, UnitCount, false, func(s *StatsMsg) *int64 { return &s.RecoveredWarm }},
+	{"replicas", "", "", StatGauge, UnitCount, true, func(s *StatsMsg) *int64 { return &s.Replicas }},
+	{"result-cache-hits", "", "", StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.ResultCacheHits }},
+	{"result-cache-misses", "", "", StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.ResultCacheMisses }},
+	{"coalesced-queries", "", "", StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.CoalescedQueries }},
+	{"grant-batches", "", "", StatCounter, UnitCount, false, func(s *StatsMsg) *int64 { return &s.GrantBatches }},
+}
+
+// Merge folds o's integer stats into s: a Max row keeps the larger
+// value, every other row sums. Cached and Policy are left to the caller.
+func (s *StatsMsg) Merge(o *StatsMsg) {
+	for _, f := range StatFields {
+		dst, v := f.Of(s), *f.Of(o)
+		if f.Max {
+			*dst = max(*dst, v)
+		} else {
+			*dst += v
+		}
+	}
 }
 
 // ShardQueryMsg is the router→shard leg of a scattered query: the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -395,6 +396,37 @@ func TestRegisterStats(t *testing.T) {
 	fams := mustParse(t, r)
 	if fetches != 1 {
 		t.Fatalf("one scrape cost %d fetches, want 1 (memoization broken)", fetches)
+	}
+	// The exported set is exactly the families (and types) nodes
+	// exposed before the stats table drove registration.
+	wantTypes := map[string]string{
+		"delta_queries_total":                  "counter",
+		"delta_queries_at_cache_total":         "counter",
+		"delta_queries_shipped_total":          "counter",
+		"delta_dropped_invalidations_total":    "counter",
+		"delta_deduped_loads_total":            "counter",
+		"delta_migrated_in_total":              "counter",
+		"delta_migrated_out_total":             "counter",
+		"delta_objects_born_total":             "counter",
+		"delta_cover_cache_hits_total":         "counter",
+		"delta_cover_cache_misses_total":       "counter",
+		"delta_ledger_query_ship_bytes_total":  "counter",
+		"delta_ledger_update_ship_bytes_total": "counter",
+		"delta_ledger_object_load_bytes_total": "counter",
+		"delta_ledger_query_ships_total":       "counter",
+		"delta_ledger_update_ships_total":      "counter",
+		"delta_ledger_object_loads_total":      "counter",
+		"delta_journal_records_total":          "counter",
+		"delta_cached_objects":                 "gauge",
+		"delta_snapshot_age_seconds":           "gauge",
+		"delta_recovered_warm":                 "gauge",
+	}
+	gotTypes := map[string]string{}
+	for name, fam := range fams {
+		gotTypes[name] = fam.Type
+	}
+	if !reflect.DeepEqual(gotTypes, wantTypes) {
+		t.Errorf("exported families = %v, want %v", gotTypes, wantTypes)
 	}
 	expect := map[string]float64{
 		"delta_queries_total":          10,

@@ -13,14 +13,11 @@ import (
 // every shard twenty times per scrape.
 const statsTTL = time.Second
 
-// RegisterStats exposes every StatsMsg field as a metric, sourced from
-// fetch at scrape time. fetch is memoized for statsTTL; a failing
-// fetch serves the last good snapshot (scrapes should degrade, not
-// 500, when a shard probe times out). Nil registry no-ops.
-//
-// Counter-natured fields (queries, hits, migrations, births, ...)
-// expose as counters; instantaneous ones (resident set size, snapshot
-// age, journal backlog) as gauges.
+// RegisterStats exposes every netproto.StatFields row that names a
+// metric family, plus delta_cached_objects, sourced from fetch at
+// scrape time. fetch is memoized for statsTTL; a failing fetch serves
+// the last good snapshot (scrapes should degrade, not 500, when a
+// shard probe times out). Nil registry no-ops.
 func RegisterStats(r *Registry, fetch func() (netproto.StatsMsg, error)) {
 	if r == nil {
 		return
@@ -40,51 +37,21 @@ func RegisterStats(r *Registry, fetch func() (netproto.StatsMsg, error)) {
 		return last
 	}
 
-	counter := func(name, help string, f func(*netproto.StatsMsg) float64) {
-		r.NewCounterFunc(name, help, func() float64 { s := get(); return f(&s) })
+	for _, f := range netproto.StatFields {
+		if f.Metric == "" {
+			continue
+		}
+		scale := 1.0
+		if f.Unit == netproto.UnitDuration {
+			scale = 1 / float64(time.Second)
+		}
+		value := func() float64 { s := get(); return float64(*f.Of(&s)) * scale }
+		if f.Kind == netproto.StatCounter {
+			r.NewCounterFunc(f.Metric, f.Help, value)
+		} else {
+			r.NewGaugeFunc(f.Metric, f.Help, value)
+		}
 	}
-	gauge := func(name, help string, f func(*netproto.StatsMsg) float64) {
-		r.NewGaugeFunc(name, help, func() float64 { s := get(); return f(&s) })
-	}
-
-	counter("delta_queries_total", "Queries handled by this node.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.Queries) })
-	counter("delta_queries_at_cache_total", "Queries answered from local cache state (hits).",
-		func(s *netproto.StatsMsg) float64 { return float64(s.AtCache) })
-	counter("delta_queries_shipped_total", "Queries shipped upstream to the repository.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.Shipped) })
-	counter("delta_dropped_invalidations_total", "Invalidation notices discarded rather than applied.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.DroppedInvalidations) })
-	counter("delta_deduped_loads_total", "Object loads collapsed into an in-flight load (singleflight).",
-		func(s *netproto.StatsMsg) float64 { return float64(s.DedupedLoads) })
-	counter("delta_migrated_in_total", "Cached objects adopted warm from sibling shards.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.MigratedIn) })
-	counter("delta_migrated_out_total", "Cached objects streamed warm to sibling shards.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.MigratedOut) })
-	counter("delta_objects_born_total", "Newly published objects admitted into this node's universe.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.ObjectsBorn) })
-	counter("delta_cover_cache_hits_total", "Sky-region resolutions answered from the HTM cover cache.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.CoverCacheHits) })
-	counter("delta_cover_cache_misses_total", "Sky-region resolutions recomputed via partition cover.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.CoverCacheMisses) })
-	counter("delta_ledger_query_ship_bytes_total", "Logical bytes charged to query shipping.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.Ledger.QueryShip) })
-	counter("delta_ledger_update_ship_bytes_total", "Logical bytes charged to update shipping.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.Ledger.UpdateShip) })
-	counter("delta_ledger_object_load_bytes_total", "Logical bytes charged to object loading.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.Ledger.ObjectLoad) })
-	counter("delta_ledger_query_ships_total", "Query-shipping transfers charged to the ledger.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.Ledger.QueryShips) })
-	counter("delta_ledger_update_ships_total", "Update-shipping transfers charged to the ledger.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.Ledger.UpdateShips) })
-	counter("delta_ledger_object_loads_total", "Object-load transfers charged to the ledger.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.Ledger.ObjectLoads) })
-	counter("delta_journal_records_total", "Durability journal records appended since the last snapshot.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.JournalRecords) })
-	gauge("delta_cached_objects", "Objects currently resident in this node's cache.",
-		func(s *netproto.StatsMsg) float64 { return float64(len(s.Cached)) })
-	gauge("delta_snapshot_age_seconds", "Age of the newest durability snapshot (0 when persistence is off).",
-		func(s *netproto.StatsMsg) float64 { return s.SnapshotAge.Seconds() })
-	gauge("delta_recovered_warm", "Residents re-adopted from disk at the last startup.",
-		func(s *netproto.StatsMsg) float64 { return float64(s.RecoveredWarm) })
+	r.NewGaugeFunc("delta_cached_objects", "Objects currently resident in this node's cache.",
+		func() float64 { s := get(); return float64(len(s.Cached)) })
 }

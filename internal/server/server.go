@@ -6,11 +6,11 @@
 // carries update notices (control plane, not charged as traffic, per
 // Section 3's invalidation model).
 //
-// Every connection opens with the v3 handshake (netproto.ServeHandshake)
-// and its Hello names the role. On request connections every request
-// is dispatched to its own worker goroutine (replies carry the request's
-// correlation ID and are serialized onto the socket by netproto.Conn),
-// so a slow object load never head-of-line-blocks cheap queries.
+// Every connection opens with the v3 handshake (netproto.ReadHello,
+// AckHello); its Hello names the role. On request connections every
+// request is dispatched to its own worker goroutine (replies carry the
+// request's correlation ID and are serialized onto the socket by
+// netproto.Conn), so a slow object load never head-of-line-blocks.
 package server
 
 import (
@@ -267,15 +267,6 @@ func (r *Repository) Addr() string {
 // Ledger returns a snapshot of the server-side traffic accounting.
 func (r *Repository) Ledger() cost.Snapshot { return r.ledger.Snapshot() }
 
-// Subscribers reports how many invalidation subscribers are currently
-// registered (observability; tests also use it to sync with a
-// subscription completing its handshake).
-func (r *Repository) Subscribers() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.subscribers)
-}
-
 // DroppedInvalidations reports how many invalidation notices were
 // discarded because a subscriber's buffer was full.
 func (r *Repository) DroppedInvalidations() int64 {
@@ -431,15 +422,19 @@ func (r *Repository) acceptLoop() {
 
 func (r *Repository) serveConn(nc net.Conn) error {
 	c := netproto.NewConn(nc)
-	hello, err := netproto.ServeHandshake(c)
+	hello, err := netproto.ReadHello(c)
 	if err != nil {
+		return err
+	}
+	if hello.Role == "invalidations" {
+		return r.serveInvalidations(c) // acks once subscribed
+	}
+	if err := netproto.AckHello(c); err != nil {
 		return err
 	}
 	switch hello.Role {
 	case "pipeline":
 		return r.servePipeline(c)
-	case "invalidations":
-		return r.serveInvalidations(nc, c)
 	case "cache", "client":
 		return netproto.ServeMux(c, 0, r.handleRequest, r.cfg.Logf)
 	default:
@@ -469,7 +464,10 @@ func (r *Repository) servePipeline(c *netproto.Conn) error {
 	}
 }
 
-func (r *Repository) serveInvalidations(nc net.Conn, c *netproto.Conn) error {
+// serveInvalidations registers the subscriber before acknowledging its
+// Hello: once the subscriber's Handshake returns, every later
+// ApplyUpdate or AddObjects notice is queued for it.
+func (r *Repository) serveInvalidations(c *netproto.Conn) error {
 	ch := make(chan netproto.Frame, 1024)
 	r.mu.Lock()
 	if r.closed {
@@ -488,12 +486,14 @@ func (r *Repository) serveInvalidations(nc net.Conn, c *netproto.Conn) error {
 		}
 		r.mu.Unlock()
 	}()
+	if err := netproto.AckHello(c); err != nil {
+		return err
+	}
 	for f := range ch {
 		if err := c.Send(f); err != nil {
 			return netproto.IgnoreClosed(err)
 		}
 	}
-	_ = nc // held open until server close
 	return nil
 }
 

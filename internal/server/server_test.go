@@ -199,16 +199,6 @@ func TestInvalidationBroadcastNonBlocking(t *testing.T) {
 	if _, err := netproto.Handshake(nc, "invalidations", 0); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the server to register the subscription: the push below
-	// finishes in milliseconds, so racing the handshake would broadcast
-	// to nobody and count no drops.
-	regDeadline := time.Now().Add(5 * time.Second)
-	for repo.Subscribers() == 0 {
-		if time.Now().After(regDeadline) {
-			t.Fatal("subscription never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
 	// Push enough notices to overwhelm the subscriber buffer plus
 	// whatever the kernel's socket buffers absorb: the stalled reader
 	// guarantees drops at this volume.
@@ -261,6 +251,47 @@ func TestInvalidationBroadcastNonBlocking(t *testing.T) {
 	}
 }
 
+// TestSubscribeRegistersBeforeAck pins the subscription start: the
+// repository registers an invalidation subscriber before it answers
+// the Hello, so a subscriber whose Handshake has returned misses no
+// notice. While the test holds r.mu the registration cannot happen,
+// so the Handshake must not return either.
+func TestSubscribeRegistersBeforeAck(t *testing.T) {
+	repo := testRepo(t)
+	if err := repo.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Close()
+	nc, err := net.Dial("tcp", repo.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+
+	repo.mu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := netproto.Handshake(nc, "invalidations", 5*time.Second)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		repo.mu.Unlock()
+		t.Fatalf("Handshake returned (err=%v) before the subscriber was registered", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	repo.mu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	repo.mu.Lock()
+	n := len(repo.subscribers)
+	repo.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("subscribers after Handshake = %d, want 1", n)
+	}
+}
+
 func TestAddObjectsIngestAndAnnounce(t *testing.T) {
 	repo := testRepo(t)
 	if err := repo.Start(); err != nil {
@@ -277,13 +308,6 @@ func TestAddObjectsIngestAndAnnounce(t *testing.T) {
 	c, err := netproto.Handshake(nc, "invalidations", 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	regDeadline := time.Now().Add(5 * time.Second)
-	for repo.Subscribers() == 0 {
-		if time.Now().After(regDeadline) {
-			t.Fatal("subscription never registered")
-		}
-		time.Sleep(time.Millisecond)
 	}
 
 	base := repo.cfg.Survey.NumObjects()
